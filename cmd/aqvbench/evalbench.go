@@ -136,43 +136,6 @@ type PreparedBenchResult struct {
 	SpeedupAnswerVsCold   float64 `json:"speedup_answer_vs_cold"`
 }
 
-// ShardPoint is one shard count's measurement in a partitioned scaling
-// sweep.
-type ShardPoint struct {
-	Shards int `json:"shards"`
-	// Workers is the goroutine fan-out used at this point:
-	// min(shards, GOMAXPROCS) — on a single-core host every point runs
-	// sequentially and the curve isolates the data-layout effect.
-	Workers int     `json:"workers"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// FlatNs is the flat baseline measured interleaved with this point
-	// (flat and sharded runs alternate in the same process), which keeps
-	// the ratio honest on hosts with drifting clock speed or noisy
-	// neighbours. SpeedupVsFlat is FlatNs / NsPerOp.
-	FlatNs        float64 `json:"flat_ns,omitempty"`
-	SpeedupVsFlat float64 `json:"speedup_vs_flat"`
-}
-
-// PartitionedBenchResult is one workload's shard-count scaling sweep: the
-// flat evaluator against the sharded executor at 1..max shards. On
-// multi-core hosts the curve mixes parallelism with locality; on a
-// single-core host it isolates the physical-layout effect (shard-local
-// index maps a fraction of the monolithic size, exchange operators turning
-// scattered probes into shard-major sweeps).
-type PartitionedBenchResult struct {
-	Name    string `json:"name"`
-	Query   string `json:"query,omitempty"`
-	Tuples  int    `json:"tuples"`
-	Answers int    `json:"answers,omitempty"`
-	// FlatNs is the unpartitioned baseline: EvalParallel (or the flat
-	// fixpoint / maintenance path) at GOMAXPROCS workers.
-	FlatNs float64 `json:"flat_ns_per_op"`
-	// Sweep holds one point per shard count, ascending.
-	Sweep []ShardPoint `json:"sweep"`
-	// MaxShardSpeedup is the speedup at the largest shard count.
-	MaxShardSpeedup float64 `json:"max_shard_speedup"`
-}
-
 // EvalBenchReport is the top-level BENCH_eval.json document.
 type EvalBenchReport struct {
 	Command    string            `json:"command"`
@@ -187,9 +150,6 @@ type EvalBenchReport struct {
 	// Prepared compares cold per-query planning, template-cached Answer
 	// and prepared Exec on varying-constant point-lookup streams.
 	Prepared []PreparedBenchResult `json:"prepared"`
-	// Partitioned holds the hash-partitioned scaling sweeps (-scaling):
-	// sharded execution at 1..max shards against the flat evaluator.
-	Partitioned []PartitionedBenchResult `json:"partitioned,omitempty"`
 	// Governance measures the cost of the context-aware execution paths
 	// (-governance): legacy evaluation against the same evaluation with a
 	// live cancellation guard (cancelable context, amortized polling).
@@ -344,7 +304,7 @@ func toPoint(r testing.BenchmarkResult) BenchPoint {
 
 // runEvalBench measures every workload and writes the JSON report to path
 // ("-" prints to stdout only). The workloads/programs/ivm/prepared sections
-// are replaced; sections owned by other modes (partitioned, governance)
+// are replaced; sections owned by other modes (governance, durability)
 // are preserved when the file already exists.
 func runEvalBench(path string) error {
 	var report EvalBenchReport
@@ -642,301 +602,6 @@ func runPreparedBench(report *EvalBenchReport) error {
 		report.Prepared = append(report.Prepared, res)
 	}
 	return nil
-}
-
-// shardCounts is the scaling sweep's x-axis: powers of two from 1 up to
-// max(GOMAXPROCS, 8). Sweeping past the core count is deliberate — shard
-// count is a physical-design axis (index-map size, exchange batching), not
-// just a parallelism axis, and on small hosts the layout effect is the
-// whole curve.
-func shardCounts() []int {
-	limit := runtime.GOMAXPROCS(0)
-	if limit < 8 {
-		limit = 8
-	}
-	var out []int
-	for s := 1; s <= limit; s *= 2 {
-		out = append(out, s)
-	}
-	if out[len(out)-1] != limit {
-		out = append(out, limit)
-	}
-	return out
-}
-
-// localityShardCounts is the x-axis for the large serving workload: powers
-// of four up to max(256, GOMAXPROCS). The cache-locality payoff of shards
-// grows until a shard's probe working set fits the fast cache levels, which
-// on multi-megabyte relations takes shard counts far past any core count.
-func localityShardCounts() []int {
-	limit := 256
-	if p := runtime.GOMAXPROCS(0); p > limit {
-		limit = p
-	}
-	var out []int
-	for s := 1; s <= limit; s *= 4 {
-		out = append(out, s)
-	}
-	if out[len(out)-1] != limit {
-		out = append(out, limit)
-	}
-	return out
-}
-
-// sweepWorkers caps the fan-out at one goroutine per shard and per core.
-func sweepWorkers(shards int) int {
-	w := runtime.GOMAXPROCS(0)
-	if shards < w {
-		w = shards
-	}
-	return w
-}
-
-// runScalingBench measures the sharded executor against the flat evaluator
-// across shard counts and merges the "partitioned" section into the JSON
-// report at path (preserving the other sections when the file exists;
-// "-" prints the whole report to stdout).
-func runScalingBench(path string) error {
-	var report EvalBenchReport
-	if path != "-" {
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &report); err != nil {
-				return fmt.Errorf("parse existing %s: %w", path, err)
-			}
-		}
-	}
-	report.GoMaxProcs = runtime.GOMAXPROCS(0)
-	if report.Command == "" {
-		report.Command = "aqvbench -scaling " + path
-	}
-	report.Partitioned = nil
-
-	// sweep measures one workload across shard counts. Per point it builds
-	// the partitioned database (one at a time, so retained shards never
-	// inflate the GC heap for later points), then alternates flat and
-	// sharded runs for `rounds` rounds and keeps the best of each side:
-	// interleaving in one process is what makes the ratio trustworthy on a
-	// host where cross-process runs of the same binary vary by ±30%.
-	sweep := func(res PartitionedBenchResult, counts []int, rounds int,
-		flat func(rep int) error, mkpdb func(s int) (*storage.PartitionedDatabase, error),
-		shard func(pdb *storage.PartitionedDatabase, w, rep int) error) error {
-		for _, s := range counts {
-			pdb, err := mkpdb(s)
-			if err != nil {
-				return err
-			}
-			w := sweepWorkers(s)
-			var flatBest, shardBest float64 = -1, -1
-			for r := 0; r < rounds; r++ {
-				start := time.Now()
-				if err := flat(r); err != nil {
-					return err
-				}
-				if d := float64(time.Since(start).Nanoseconds()); flatBest < 0 || d < flatBest {
-					flatBest = d
-				}
-				start = time.Now()
-				if err := shard(pdb, w, r); err != nil {
-					return err
-				}
-				if d := float64(time.Since(start).Nanoseconds()); shardBest < 0 || d < shardBest {
-					shardBest = d
-				}
-			}
-			if flatBest < 1 {
-				flatBest = 1
-			}
-			if shardBest < 1 {
-				shardBest = 1
-			}
-			res.Sweep = append(res.Sweep, ShardPoint{
-				Shards: s, Workers: w, NsPerOp: shardBest,
-				FlatNs: flatBest, SpeedupVsFlat: flatBest / shardBest,
-			})
-			if res.FlatNs == 0 || flatBest < res.FlatNs {
-				res.FlatNs = flatBest
-			}
-		}
-		res.MaxShardSpeedup = res.Sweep[len(res.Sweep)-1].SpeedupVsFlat
-		fmt.Printf("%-14s tuples=%-7d flat=%.1fms", res.Name, res.Tuples, res.FlatNs/1e6)
-		for _, p := range res.Sweep {
-			fmt.Printf("  s%d=%.2fx", p.Shards, p.SpeedupVsFlat)
-		}
-		fmt.Println()
-		report.Partitioned = append(report.Partitioned, res)
-		return nil
-	}
-
-	// serve_join: the join-heavy serving workload — a guarded fan-out join
-	//   q(Y,Z) :- p1(W,X), p2(X,Y), p3(Y,Z)
-	// over a small root (p2), an existential guard (p1) and a large fan-out
-	// relation (p3, ~20 tuples per key). Most of the flat evaluator's time
-	// goes to walking p3's candidate lists — positions slice, tuple headers,
-	// key bytes scattered across a multi-hundred-MB heap. Partitioning on
-	// the plan's probe columns (PartitionHints) keeps the probes shard-local
-	// and the per-shard arenas (interned at Partition time) make each task's
-	// walk working set contiguous; the head carries the routing slot, so
-	// per-task answers are disjoint and merge without a dedup pass.
-	{
-		rng := rand.New(rand.NewSource(91))
-		db := storage.NewDatabase()
-		for i := 0; i < 400000; i++ {
-			db.Insert("p1", storage.Tuple{"w" + fmt.Sprint(rng.Intn(1000000)), "x" + fmt.Sprint(rng.Intn(300000))})
-		}
-		for i := 0; i < 150000; i++ {
-			db.Insert("p2", storage.Tuple{"x" + fmt.Sprint(rng.Intn(300000)), "k" + fmt.Sprint(rng.Intn(100000))})
-		}
-		for i := 0; i < 2000000; i++ {
-			db.Insert("p3", storage.Tuple{"k" + fmt.Sprint(rng.Intn(100000)), "z" + fmt.Sprint(rng.Intn(5000000))})
-		}
-		q := cq.MustParseQuery("q(Y,Z) :- p1(W,X), p2(X,Y), p3(Y,Z)")
-		db.BuildIndexes()
-		cat := cost.NewCatalog(db)
-		plan := datalog.Compile(q, cat)
-		partCols := cat.PartitionColumns(plan.PartitionHints())
-		flatWorkers := runtime.GOMAXPROCS(0)
-		res := PartitionedBenchResult{
-			Name:    "serve_join",
-			Query:   q.String(),
-			Tuples:  db.TotalTuples(),
-			Answers: len(plan.EvalParallel(db, flatWorkers)),
-		}
-		if err := sweep(res, localityShardCounts(), 3,
-			func(int) error { plan.EvalParallel(db, flatWorkers); return nil },
-			func(s int) (*storage.PartitionedDatabase, error) {
-				pdb := storage.Partition(db, s, partCols)
-				pdb.BuildIndexes()
-				return pdb, nil
-			},
-			func(pdb *storage.PartitionedDatabase, w, _ int) error {
-				plan.EvalSharded(pdb, w)
-				return nil
-			}); err != nil {
-			return err
-		}
-	}
-
-	// fixpoint_tc: per-shard semi-naive fixpoint (transitive closure) —
-	// every delta round fans out one task per delta shard, derivations
-	// routed to owner shards at the round barrier.
-	{
-		rng := rand.New(rand.NewSource(93))
-		edges := storage.NewDatabase()
-		const chain = 400
-		for i := 0; i < chain; i++ {
-			edges.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
-		}
-		for i := 0; i < 200; i++ {
-			from := rng.Intn(chain)
-			edges.Insert("e", storage.Tuple{fmt.Sprint(from), fmt.Sprint(from + 1 + rng.Intn(6))})
-		}
-		prog := datalog.NewProgram(
-			datalog.RuleFromQuery(cq.MustParseQuery("tc(X,Y) :- e(X,Y)")),
-			datalog.RuleFromQuery(cq.MustParseQuery("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
-		)
-		edges.BuildIndexes()
-		cat := cost.NewCatalog(edges)
-		cp, err := datalog.CompileProgram(prog, cat)
-		if err != nil {
-			return err
-		}
-		partCols := cat.PartitionColumns(cp.PartitionHints())
-		flatWorkers := runtime.GOMAXPROCS(0)
-		res := PartitionedBenchResult{Name: "fixpoint_tc", Tuples: edges.TotalTuples()}
-		if err := sweep(res, shardCounts(), 3,
-			func(int) error {
-				_, err := cp.EvalParallel(edges, flatWorkers)
-				return err
-			},
-			func(s int) (*storage.PartitionedDatabase, error) {
-				pdb := storage.Partition(edges, s, partCols)
-				pdb.BuildIndexes()
-				return pdb, nil
-			},
-			func(pdb *storage.PartitionedDatabase, w, _ int) error {
-				_, err := cp.EvalSharded(pdb, w)
-				return err
-			}); err != nil {
-			return err
-		}
-	}
-
-	// ivm_batch: sharded delta maintenance — one batch propagated through
-	// the delta plans per-shard against the flat maintenance path. Each
-	// measurement applies a disjoint batch to a fresh copy of the
-	// materialized state (the state drifts by well under 1% across reps).
-	{
-		rng := rand.New(rand.NewSource(95))
-		base := workload.ChainDatabase(rng, 3, true, 40000, 8000)
-		views := []*cq.Query{
-			cq.MustParseQuery("v1(A,B) :- p1(A,C), p2(C,B)"),
-			cq.MustParseQuery("v2(A,B) :- p2(A,C), p3(C,B)"),
-		}
-		prog := &datalog.Program{}
-		for _, v := range views {
-			prog.Rules = append(prog.Rules, datalog.RuleFromQuery(v))
-		}
-		cat := cost.NewCatalog(base)
-		cp, err := datalog.CompileProgramIVM(prog, cat)
-		if err != nil {
-			return err
-		}
-		master, err := cp.Eval(base)
-		if err != nil {
-			return err
-		}
-		master.BuildIndexes()
-		masterCat := cost.NewCatalog(master)
-		partCols := masterCat.PartitionColumns(cp.PartitionHints())
-		const batchN = 400
-		// Successive disjoint batches against one maintained state per side:
-		// the state drifts by well under 1% across rounds, so every round
-		// still measures one batch's propagation against effectively the
-		// same extents.
-		batches := make([]map[string][]storage.Tuple, 3)
-		for i := range batches {
-			upd := make(map[string][]storage.Tuple)
-			for j := 0; j < batchN; j++ {
-				pred := fmt.Sprintf("p%d", 1+rng.Intn(3))
-				upd[pred] = append(upd[pred], storage.Tuple{
-					fmt.Sprintf("c%d", rng.Intn(8000)), fmt.Sprintf("c%d", rng.Intn(8000)),
-				})
-			}
-			batches[i] = upd
-		}
-		res := PartitionedBenchResult{Name: "ivm_batch", Tuples: master.TotalTuples()}
-		var flatState *storage.Database
-		if err := sweep(res, shardCounts(), len(batches),
-			func(rep int) error {
-				if rep == 0 {
-					flatState = master.Clone()
-				}
-				_, _, _, err := cp.ApplyInserts(flatState, batches[rep], runtime.GOMAXPROCS(0))
-				return err
-			},
-			func(s int) (*storage.PartitionedDatabase, error) {
-				pdb := storage.Partition(master, s, partCols)
-				pdb.BuildIndexes()
-				return pdb, nil
-			},
-			func(pdb *storage.PartitionedDatabase, w, rep int) error {
-				_, _, _, err := cp.ApplyInsertsSharded(pdb, batches[rep], w)
-				return err
-			}); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // runGovernanceBench measures the cancellation-check overhead of the

@@ -9,8 +9,6 @@
 //	aqvbench -exp F1                  # run one experiment
 //	aqvbench -list                    # list experiment ids
 //	aqvbench -evalbench BENCH_eval.json  # measure the evaluator, write JSON
-//	aqvbench -scaling BENCH_eval.json    # sweep shard counts, merge the
-//	                                     # "partitioned" section into the report
 //	aqvbench -governance BENCH_eval.json # measure cancellation-guard overhead,
 //	                                     # merge the "governance" section
 //	aqvbench -serve BENCH_serve.json     # drive the HTTP serving layer with
@@ -40,7 +38,6 @@ func run(args []string) error {
 	exp := fs.String("exp", "all", "experiment id (T1..T5, F1..F6) or 'all'")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	evalBench := fs.String("evalbench", "", "measure the evaluator (interp vs compiled cold/warm/parallel) and write machine-readable JSON to this path ('-' = stdout)")
-	scaling := fs.String("scaling", "", "sweep the sharded executor across shard counts (1..max(GOMAXPROCS,8)) and merge the 'partitioned' section into the JSON report at this path ('-' = stdout)")
 	governance := fs.String("governance", "", "measure the cancellation-guard overhead (context-aware vs legacy evaluation) and merge the 'governance' section into the JSON report at this path ('-' = stdout)")
 	serve := fs.String("serve", "", "drive the HTTP serving layer (closed- and open-loop load, mixed-batch churn) and write BENCH_serve.json to this path ('-' = stdout)")
 	serveDur := fs.Duration("serve-dur", 2*time.Second, "wall time per -serve load point")
@@ -54,9 +51,6 @@ func run(args []string) error {
 	}
 	if *evalBench != "" {
 		return runEvalBench(*evalBench)
-	}
-	if *scaling != "" {
-		return runScalingBench(*scaling)
 	}
 	if *governance != "" {
 		return runGovernanceBench(*governance)

@@ -57,6 +57,17 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to deliver a
+// request's headers, so a slow or stalled sender cannot hold a connection
+// (and its goroutine) open forever; a keep-alive connection idle for
+// idleTimeout between requests is closed. Neither bounds a request body or
+// a response: evaluations are bounded by the per-request budget and
+// deadline instead, and a busy keep-alive connection is never idle.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // notifyAddr, when non-nil, receives the bound listen address once the
 // daemon is accepting connections. Test hook.
 var notifyAddr chan<- net.Addr
@@ -103,7 +114,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

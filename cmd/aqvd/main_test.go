@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"strings"
@@ -321,5 +323,71 @@ func TestDaemonDurableRestart(t *testing.T) {
 	st := all["default"].Engine.Durable
 	if !st.Enabled || st.RecoveredTuples == 0 {
 		t.Fatalf("stats report no durable recovery: %+v\n%s", st, sraw)
+	}
+}
+
+// TestDaemonDropsSlowHeaderClient: a client that sends half a request
+// header and stalls is disconnected once readHeaderTimeout passes, while a
+// keep-alive client issuing complete requests keeps its one connection.
+func TestDaemonDropsSlowHeaderClient(t *testing.T) {
+	views, base := inlineDir(t)
+	url, shutdown := startDaemon(t, "-views", views, "-base", base)
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/query HTTP/1.1\r\nHost: aqvd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A busy keep-alive client is unaffected: both requests succeed over
+	// one reused connection while the slow client hangs.
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	reused := 0
+	for i := 0; i < 2; i++ {
+		req, err := http.NewRequest(http.MethodGet, url+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) {
+				if info.Reused {
+					reused++
+				}
+			},
+		}))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if reused != 1 {
+		t.Fatalf("keep-alive connection reused %d time(s), want 1", reused)
+	}
+
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	if n != 0 || err == nil {
+		t.Fatalf("slow-header client read %d byte(s), err %v; want the connection closed", n, err)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("slow-header connection still open after %v", time.Since(start))
 	}
 }

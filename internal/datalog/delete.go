@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/cq"
@@ -495,6 +497,36 @@ func (cp *CompiledProgram) runCountVariants(db *storage.Database, batch map[stri
 		}
 	}
 	return merged, nil
+}
+
+// runTasks executes fn(0..n-1) across up to workers goroutines, pulling task
+// indexes from a shared atomic counter. workers <= 1 runs inline.
+func runTasks(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // countVariantRun enumerates one counting variant's matches, returning the

@@ -95,7 +95,7 @@ func TestEngineDeleteBasics(t *testing.T) {
 
 // TestEngineUpdateDifferential drives randomized mixed insert/delete
 // streams — including delete-heavy batches — through live engines across
-// every strategy, shard count and worker count, and cross-checks every
+// every strategy and worker count, and cross-checks every
 // answer and every extent against an engine rebuilt from the surviving
 // base.
 func TestEngineUpdateDifferential(t *testing.T) {
@@ -113,15 +113,15 @@ func TestEngineUpdateDifferential(t *testing.T) {
 			base.Insert("r", storage.Tuple{fmt.Sprintf("a%d", rng.Intn(8)), fmt.Sprintf("m%d", rng.Intn(8))})
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
-		shards := 0
+		// Unused draws: they keep every trial's random stream, and so its
+		// bases, views and batches, identical to the recorded one.
 		if trial%2 == 1 {
-			shards = 2 + rng.Intn(3)
+			rng.Intn(3)
 		}
 		strat := strategies[trial%len(strategies)]
 		live, err := NewFromBase(base, views, Options{
 			Strategy:    strat,
 			LiveUpdates: true,
-			Shards:      shards,
 			EvalWorkers: 1 + rng.Intn(3),
 		})
 		if err != nil {
@@ -181,8 +181,8 @@ func TestEngineUpdateDifferential(t *testing.T) {
 				t.Fatalf("trial %d (%s) batch %d: fresh: %v", trial, strat, batch, err)
 			}
 			if !storage.TuplesEqual(got, want) {
-				t.Fatalf("trial %d (%s) batch %d (shards=%d): live diverges from re-materialization\n  live:  %v\n  fresh: %v",
-					trial, strat, batch, shards, got, want)
+				t.Fatalf("trial %d (%s) batch %d: live diverges from re-materialization\n  live:  %v\n  fresh: %v",
+					trial, strat, batch, got, want)
 			}
 			for _, v := range views {
 				lr, fr := live.Database().Relation(v.Name()), fresh.Database().Relation(v.Name())
@@ -251,13 +251,13 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 		return -1
 	}
 
-	for _, shards := range []int{0, 3} {
-		e, err := NewFromBase(base, views, Options{LiveUpdates: true, Shards: shards, EvalWorkers: 4})
+	for _, workers := range []int{4, 1} {
+		e, err := NewFromBase(base, views, Options{LiveUpdates: true, EvalWorkers: workers})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if ans, err := e.Answer(q); err != nil || matchesState(ans) != 0 {
-			t.Fatalf("shards=%d: initial answer %v (err %v)", shards, ans, err)
+			t.Fatalf("workers=%d: initial answer %v (err %v)", workers, ans, err)
 		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -273,11 +273,11 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 					}
 					got, err := e.Answer(q)
 					if err != nil {
-						t.Errorf("shards=%d reader %d: %v", shards, g, err)
+						t.Errorf("workers=%d reader %d: %v", workers, g, err)
 						return
 					}
 					if matchesState(got) < 0 {
-						t.Errorf("shards=%d reader %d: torn answer set (%d tuples): %v", shards, g, len(got), got)
+						t.Errorf("workers=%d reader %d: torn answer set (%d tuples): %v", workers, g, len(got), got)
 						return
 					}
 				}
@@ -291,7 +291,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 				"s": {{"k", fmt.Sprintf("y%d", k)}},
 			})
 			if err != nil {
-				t.Errorf("shards=%d grow %d: %v", shards, k, err)
+				t.Errorf("workers=%d grow %d: %v", workers, k, err)
 				break
 			}
 		}
@@ -301,7 +301,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 				"s": {{"k", fmt.Sprintf("y%d", k)}},
 			})
 			if err != nil {
-				t.Errorf("shards=%d shrink %d: %v", shards, k, err)
+				t.Errorf("workers=%d shrink %d: %v", workers, k, err)
 				break
 			}
 		}
@@ -315,7 +315,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		if matchesState(final) != 0 {
-			t.Fatalf("shards=%d: final state %v, want state 0", shards, final)
+			t.Fatalf("workers=%d: final state %v, want state 0", workers, final)
 		}
 	}
 }
@@ -340,15 +340,15 @@ func TestEngineDeleteFaultInjection(t *testing.T) {
 			base.Insert("r", storage.Tuple{fmt.Sprintf("a%d", rng.Intn(8)), fmt.Sprintf("m%d", rng.Intn(8))})
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
-		shards := 0
+		// Unused draws: they keep every trial's random stream, and so its
+		// bases, views and batches, identical to the recorded one.
 		if trial%3 == 1 {
-			shards = 2 + rng.Intn(3)
+			rng.Intn(3)
 		}
 		strat := strategies[trial%len(strategies)]
 		live, err := NewFromBase(base, views, Options{
 			Strategy:    strat,
 			LiveUpdates: true,
-			Shards:      shards,
 			EvalWorkers: 1 + rng.Intn(3),
 		})
 		if err != nil {
@@ -427,8 +427,8 @@ func TestEngineDeleteFaultInjection(t *testing.T) {
 				t.Fatalf("trial %d (%s): live answer: %v", trial, strat, err)
 			}
 			if !storage.TuplesEqual(gotRows, wantRows) {
-				t.Fatalf("trial %d (%s) batch %d (shards=%d): live diverges after fault\n  live:  %v\n  fresh: %v",
-					trial, strat, batch, shards, gotRows, wantRows)
+				t.Fatalf("trial %d (%s) batch %d: live diverges after fault\n  live:  %v\n  fresh: %v",
+					trial, strat, batch, gotRows, wantRows)
 			}
 			for _, v := range views {
 				lr, fr := live.Database().Relation(v.Name()), fresh.Database().Relation(v.Name())
