@@ -20,24 +20,26 @@
 // concurrent identical requests, and is safe for parallel use:
 //
 //	eng, _ := aqv.NewEngineFromBase(base, views, aqv.EngineOptions{})
-//	answers, _ := eng.Answer(q) // α-equivalent and constant-varying queries hit the plan cache
+//	answers, _ := eng.AnswerBudget(ctx, q, aqv.EngineBudget{}) // α-equivalent and constant-varying queries hit the plan cache
 //
 // Point-lookup streams should prepare once and execute per binding:
 //
 //	pq, _ := eng.Prepare(aqv.MustParseQuery("q(Y) :- r(k0,Z), s(Z,Y)"))
 //	for _, key := range keys {
-//		answers, _ := pq.Exec(key) // one compiled plan, one index probe per call
+//		answers, _ := pq.ExecBudget(ctx, budget, key) // one compiled plan, one index probe per call
 //	}
 //
-// Answer itself is a thin prepare-once-exec wrapper, so plain callers get
+// Each operation has one entry point, and every one takes a context and a
+// per-call budget (the zero EngineBudget is unlimited): AnswerBudget and
+// ExecBudget answer queries, ApplyUpdateBudget applies update batches.
+// AnswerBudget is Prepare followed by ExecBudget, so plain callers get
 // template caching for free. With EngineOptions.Strategy == StrategyAuto
 // the engine additionally picks the rewriting algorithm per template by
 // cost estimate, and with MaxResults > 1 it keeps the cheapest of several
 // equivalent rewritings instead of the first found.
 //
-// With EngineOptions.LiveUpdates the engine additionally accepts base-fact
-// inserts (Engine.Insert/InsertBatch/ApplyBatch), deletions
-// (Engine.Delete/DeleteBatch) and mixed batches (Engine.ApplyUpdate),
+// With EngineOptions.LiveUpdates the engine additionally accepts batches
+// of base-fact inserts and deletions (Engine.ApplyUpdateBudget),
 // incrementally maintaining every view extent per batch instead of
 // freezing the database at construction — multiplicity counting for flat
 // view sets, delete-rederive for recursive programs; cached plans survive
@@ -226,7 +228,7 @@ var (
 	CompileQuery = datalog.Compile
 	// CompileQueryParams is CompileQuery for a parameterized plan: the
 	// named variables become parameter slots bound per execution
-	// (CompiledPlan.EvalWith), so one plan serves every constant binding.
+	// (RunOpts.Args), so one plan serves every constant binding.
 	CompileQueryParams = datalog.CompileParams
 	// MaterializeViews evaluates views over a base database into a
 	// view-extent database.
@@ -246,16 +248,23 @@ var (
 type Plan = datalog.Plan
 
 // CompiledPlan is an immutable slot-based physical plan: compile a query
-// once with CompileQuery, then Eval / EvalParallel it any number of times
-// (concurrently, over a frozen database) without re-planning. The serving
-// engine caches one per query fingerprint.
+// once with CompileQuery, then Run it any number of times (concurrently,
+// over a frozen database) without re-planning. The serving engine caches
+// one per query fingerprint.
 type CompiledPlan = datalog.CompiledPlan
 
 // CompiledProgram is the compiled semi-naive form of a datalog Program:
 // every rule lowered to slot plans with per-occurrence delta variants.
-// Compile once with CompileProgram (or InverseRulesCompile), then Eval /
-// EvalParallel / EvalRelation it any number of times concurrently.
+// Compile once with CompileProgram (or InverseRulesCompile), then Run or
+// RunRelation it any number of times concurrently; programs compiled with
+// CompileProgramIVM also Apply update batches to a materialized database.
 type CompiledProgram = datalog.CompiledProgram
+
+// RunOpts configures one CompiledPlan.Run, CompiledProgram.Run,
+// RunRelation or Apply call: parameter arguments, worker fan-out, unsorted
+// output and EvalLimits. The zero value under context.Background() is the
+// plain sequential, sorted, unlimited evaluation.
+type RunOpts = datalog.RunOpts
 
 // FixpointStats reports the work of one semi-naive fixpoint evaluation.
 type FixpointStats = datalog.FixpointStats
@@ -265,9 +274,9 @@ type FixpointStats = datalog.FixpointStats
 var CompileProgram = datalog.CompileProgram
 
 // CompileProgramIVM is CompileProgram plus one delta plan per EDB body
-// occurrence, enabling CompiledProgram.MaintainDelta/ApplyInserts: base
-// inserts propagate into already materialized derived relations without
-// re-running the fixpoint.
+// occurrence, enabling CompiledProgram.Apply: base inserts and deletions
+// propagate into already materialized derived relations without re-running
+// the fixpoint.
 var CompileProgramIVM = datalog.CompileProgramIVM
 
 // Incremental view maintenance (see internal/ivm). A Maintainer keeps
@@ -289,24 +298,23 @@ type (
 )
 
 // NewMaintainer materializes the views over base once and returns a
-// Maintainer that keeps the extents fresh under ApplyBatch (inserts) and
-// ApplyUpdate (mixed insert/delete batches).
+// Maintainer that keeps the extents fresh under ApplyUpdateCtx (mixed
+// insert/delete batches).
 var NewMaintainer = ivm.New
 
-// ErrEngineNotLive reports a mutation (Insert/InsertBatch/ApplyBatch,
-// Delete/DeleteBatch/ApplyUpdate) on an engine built without
-// EngineOptions.LiveUpdates.
+// ErrEngineNotLive reports a mutation (ApplyUpdateBudget) on an engine
+// built without EngineOptions.LiveUpdates.
 var ErrEngineNotLive = engine.ErrNotLive
 
 // Resource governance (see internal/engine and internal/datalog): typed
 // errors, per-request budgets and admission control for the serving
-// boundary. All are opt-in; an engine with zero Budget and MaxConcurrent 0
-// behaves exactly as before.
+// boundary. All are opt-in; a zero EngineBudget under context.Background()
+// with MaxConcurrent 0 runs the unguarded fast path.
 type (
 	// EngineBudget bounds one request: a wall-clock deadline plus caps on
-	// result rows, derived tuples and fixpoint rounds. Set a default in
-	// EngineOptions.Budget or pass one per call (AnswerBudget, ExecBudget,
-	// ApplyBatchBudget).
+	// result rows, derived tuples and fixpoint rounds. Every engine entry
+	// point takes one per call (AnswerBudget, ExecBudget,
+	// ApplyUpdateBudget); the zero value is unlimited.
 	EngineBudget = engine.Budget
 	// AdmissionStats counts admission-control outcomes (EngineStats.Admission).
 	AdmissionStats = engine.AdmissionStats
@@ -320,8 +328,8 @@ type (
 	// fixpoint stats at the moment the run stopped.
 	QueryError = engine.QueryError
 	// EvalLimits bounds one compiled-executor evaluation (the datalog-level
-	// form of EngineBudget, for callers using CompiledPlan/CompiledProgram
-	// Ctx methods directly).
+	// form of EngineBudget, set in RunOpts.Limits by callers running
+	// CompiledPlan/CompiledProgram directly).
 	EvalLimits = datalog.Limits
 	// ArityError reports a tuple or request of the wrong width at the
 	// storage boundary.
@@ -341,7 +349,7 @@ var (
 	// at the engine boundary.
 	ErrEngineInternal = engine.ErrInternal
 	// ErrArityMismatch reports a caller-supplied arity error at the serving
-	// boundary (wrong Exec argument count, parameterized plan in Eval).
+	// boundary (wrong ExecBudget argument count).
 	ErrArityMismatch = engine.ErrArityMismatch
 	// ErrEngineDurability reports a write-ahead-log failure on a durable
 	// engine (EngineOptions.DataDir): the failed batch was not published,
@@ -394,7 +402,7 @@ type (
 	// EnginePlan is a cached rewriting plan for one query template.
 	EnginePlan = engine.Plan
 	// PreparedQuery is the handle Engine.Prepare returns: a cached
-	// template plan executable under any constant binding (Exec).
+	// template plan executable under any constant binding (ExecBudget).
 	PreparedQuery = engine.PreparedQuery
 	// Strategy selects the rewriting algorithm an Engine plans with.
 	Strategy = engine.Strategy

@@ -1,6 +1,7 @@
 package aqv
 
 import (
+	"context"
 	"testing"
 )
 
@@ -170,7 +171,7 @@ func TestFacadeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
-	ans, err := eng.Answer(q)
+	ans, err := eng.AnswerBudget(context.Background(), q, EngineBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,19 +182,23 @@ func TestFacadeEngine(t *testing.T) {
 	if Fingerprint(q) != Fingerprint(variant) {
 		t.Fatal("facade Fingerprint not α-invariant")
 	}
-	if _, err := eng.Answer(variant); err != nil {
+	if _, err := eng.AnswerBudget(context.Background(), variant, EngineBudget{}); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	batch, err := eng.AnswerBatch([]*Query{q, variant})
+	pq, err := eng.Prepare(variant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !TuplesEqual(batch[0], batch[1]) {
-		t.Fatal("batch answers disagree")
+	got, err := pq.ExecBudget(context.Background(), EngineBudget{}, pq.Args()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !TuplesEqual(got, ans) {
+		t.Fatal("prepared answers disagree")
 	}
 }
 

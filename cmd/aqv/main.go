@@ -57,6 +57,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -202,7 +203,7 @@ func run(args []string, out *os.File) error {
 				fmt.Fprintf(out, "%% compiled program:\n%s", cp.Describe())
 			}
 			if base != nil {
-				derived, fst, err := cp.EvalRelation(viewDB, q.Name(), 1)
+				derived, fst, err := cp.RunRelation(context.Background(), viewDB, q.Name(), aqv.RunOpts{})
 				if err != nil {
 					return err
 				}
@@ -250,7 +251,7 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 			}
 		}
 		// Choose the cheapest rewriting under the catalog statistics, then
-		// compile it once: Describe and Eval see the same physical plan.
+		// compile it once: Describe and Run see the same physical plan.
 		merged.BuildIndexes()
 		catalog := aqv.NewCatalog(merged)
 		candidates := make([]*aqv.Query, len(results))
@@ -265,7 +266,11 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 		if explain {
 			fmt.Fprintf(out, "%% plan:\n%s", plan.Describe())
 		}
-		printAnswers(out, q.Name(), plan.Eval(merged))
+		answers, err := plan.Run(context.Background(), merged, aqv.RunOpts{})
+		if err != nil {
+			return err
+		}
+		printAnswers(out, q.Name(), answers)
 	}
 	return nil
 }
@@ -305,7 +310,7 @@ func runAuto(out *os.File, q *aqv.Query, views []*aqv.Query, base *aqv.Database,
 		}
 	}
 	if hasData {
-		answers, err := pq.Exec(pq.Args()...)
+		answers, err := pq.ExecBudget(context.Background(), aqv.EngineBudget{}, pq.Args()...)
 		if err != nil {
 			return err
 		}
@@ -345,7 +350,8 @@ type govOpts struct {
 	maxConcurrent int
 }
 
-// budget translates the flags to an engine-wide default budget.
+// budget translates the flags to the budget every query and batch runs
+// under.
 func (g govOpts) budget() aqv.EngineBudget {
 	return aqv.EngineBudget{Deadline: g.timeout, MaxDerivedTuples: g.maxDerived}
 }
@@ -383,7 +389,6 @@ func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database,
 		AllowPartial:    partial,
 		KeepComparisons: true,
 		EvalWorkers:     workers,
-		Budget:          gov.budget(),
 		MaxConcurrent:   gov.maxConcurrent,
 		DataDir:         dataDir,
 		Logf:            func(format string, a ...any) { fmt.Fprintf(out, "%% "+format+"\n", a...) },
@@ -405,7 +410,7 @@ func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database,
 				pq.NumParams(), pq.Args(), p.Chosen, p.Estimate.Cost, p.Fingerprint)
 		}
 		if hasData {
-			answers, err := pq.Exec(pq.Args()...)
+			answers, err := pq.ExecBudget(context.Background(), gov.budget(), pq.Args()...)
 			if err != nil {
 				return err
 			}
@@ -453,7 +458,6 @@ func runStream(out *os.File, path string, views []*aqv.Query, base *aqv.Database
 		KeepComparisons: true,
 		EvalWorkers:     workers,
 		LiveUpdates:     true,
-		Budget:          gov.budget(),
 		MaxConcurrent:   gov.maxConcurrent,
 		DataDir:         dataDir,
 		Logf:            func(format string, a ...any) { fmt.Fprintf(out, "%% "+format+"\n", a...) },
@@ -481,7 +485,7 @@ func runStream(out *os.File, path string, views []*aqv.Query, base *aqv.Database
 			return nil
 		}
 		before := eng.Stats()
-		if err := eng.ApplyUpdate(pendingIns, pendingDel); err != nil {
+		if err := eng.ApplyUpdateBudget(context.Background(), pendingIns, pendingDel, gov.budget()); err != nil {
 			return err
 		}
 		after := eng.Stats()
@@ -546,7 +550,7 @@ func runStream(out *os.File, path string, views []*aqv.Query, base *aqv.Database
 				return fmt.Errorf("stream line %d (%s): %w", lineno+1, q.Name(), err)
 			}
 			fmt.Fprintf(out, "%% [%d] %s\n", step, q)
-			answers, err := pq.Exec(pq.Args()...)
+			answers, err := pq.ExecBudget(context.Background(), gov.budget(), pq.Args()...)
 			if err != nil {
 				return err
 			}

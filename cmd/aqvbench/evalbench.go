@@ -49,7 +49,7 @@ type EvalBenchResult struct {
 	Cold BenchPoint `json:"cold"`
 	// Warm runs a precompiled plan per op — the engine's steady state.
 	Warm BenchPoint `json:"warm"`
-	// Parallel runs the precompiled plan with EvalParallel(GOMAXPROCS).
+	// Parallel runs the precompiled plan with RunOpts{Workers: GOMAXPROCS}.
 	Parallel BenchPoint `json:"parallel"`
 	// WarmSpeedupVsInterp is Interp.NsPerOp / Warm.NsPerOp.
 	WarmSpeedupVsInterp float64 `json:"warm_speedup_vs_interp"`
@@ -72,10 +72,10 @@ type ProgramBenchResult struct {
 	Interp BenchPoint `json:"interp"`
 	// Cold compiles the program and evaluates once per op.
 	Cold BenchPoint `json:"cold"`
-	// Warm evaluates a precompiled program per op (Eval: returns the full
+	// Warm evaluates a precompiled program per op (Run: returns the full
 	// EDB+IDB database, clone included — the like-for-like comparison).
 	Warm BenchPoint `json:"warm"`
-	// WarmServing is EvalRelation on the precompiled program: the engine's
+	// WarmServing is RunRelation on the precompiled program: the engine's
 	// steady state, answer relation only, no database clone.
 	WarmServing BenchPoint `json:"warm_serving"`
 	// WarmSpeedupVsInterp is Interp.NsPerOp / Warm.NsPerOp.
@@ -109,9 +109,9 @@ type IVMBenchResult struct {
 
 // PreparedBenchResult measures one varying-constant query stream through
 // the serving engine: per-query cost of planning from scratch (what every
-// distinct constant paid before template caching), of Answer (template
-// canonicalisation + cache hit + bound execution) and of prepared Exec
-// (bound execution only).
+// distinct constant paid before template caching), of AnswerBudget
+// (template canonicalisation + cache hit + bound execution) and of
+// prepared ExecBudget (bound execution only).
 type PreparedBenchResult struct {
 	Name     string `json:"name"`
 	Strategy string `json:"strategy"`
@@ -121,17 +121,17 @@ type PreparedBenchResult struct {
 	// ColdNsPerQuery plans, compiles and executes each query from scratch
 	// (rewriting search included) — the per-query cost of a cache miss.
 	ColdNsPerQuery float64 `json:"cold_ns_per_query"`
-	// AnswerNsPerQuery streams the queries through Engine.Answer: the
+	// AnswerNsPerQuery streams the queries through Engine.AnswerBudget: the
 	// whole stream shares one template plan.
 	AnswerNsPerQuery float64 `json:"answer_ns_per_query"`
-	// PreparedNsPerQuery streams the bindings through PreparedQuery.Exec.
+	// PreparedNsPerQuery streams the bindings through PreparedQuery.ExecBudget.
 	PreparedNsPerQuery float64 `json:"prepared_ns_per_query"`
-	// CacheMisses/CacheHits witness the template sharing over one Answer
+	// CacheMisses/CacheHits witness the template sharing over one AnswerBudget
 	// pass of the stream (one miss, len-1 hits).
 	CacheMisses uint64 `json:"cache_misses"`
 	CacheHits   uint64 `json:"cache_hits"`
 	// SpeedupPreparedVsCold is ColdNsPerQuery / PreparedNsPerQuery;
-	// SpeedupAnswerVsCold the same for the Answer route.
+	// SpeedupAnswerVsCold the same for the AnswerBudget route.
 	SpeedupPreparedVsCold float64 `json:"speedup_prepared_vs_cold"`
 	SpeedupAnswerVsCold   float64 `json:"speedup_answer_vs_cold"`
 }
@@ -147,12 +147,14 @@ type EvalBenchReport struct {
 	// IVM compares delta maintenance against full re-materialization at
 	// varying delta sizes (the live-engine update path).
 	IVM []IVMBenchResult `json:"ivm"`
-	// Prepared compares cold per-query planning, template-cached Answer
-	// and prepared Exec on varying-constant point-lookup streams.
+	// Prepared compares cold per-query planning, template-cached
+	// AnswerBudget and prepared ExecBudget on varying-constant point-lookup
+	// streams.
 	Prepared []PreparedBenchResult `json:"prepared"`
-	// Governance measures the cost of the context-aware execution paths
-	// (-governance): legacy evaluation against the same evaluation with a
-	// live cancellation guard (cancelable context, amortized polling).
+	// Governance measures the cost of the cancellation guards
+	// (-governance): Run under context.Background() (nil guards) against
+	// the same Run with a live guard (cancelable context, amortized
+	// polling).
 	Governance []GovernanceBenchResult `json:"governance,omitempty"`
 	// Durability measures the snapshot + WAL subsystem: cold start from a
 	// checkpoint against full re-materialization, snapshot write cost, and
@@ -161,8 +163,8 @@ type EvalBenchReport struct {
 }
 
 // GovernanceBenchResult is one workload's cancellation-guard overhead
-// measurement: the legacy (guard-free) path against the context-aware path
-// carrying a live guard, interleaved in one process. OverheadPct is the
+// measurement: Run on the guard-free path (context.Background(), zero
+// limits) against Run carrying a live guard, interleaved in one process. OverheadPct is the
 // governed slowdown in percent; the CI gate requires it under 3%.
 type GovernanceBenchResult struct {
 	Name       string  `json:"name"`
@@ -331,7 +333,7 @@ func runEvalBench(path string) error {
 			Name:    w.name,
 			Query:   w.q.String(),
 			Tuples:  w.db.TotalTuples(),
-			Answers: len(plan.Eval(w.db)),
+			Answers: len(runPlan(plan, w.db, datalog.RunOpts{})),
 		}
 		db, q := w.db, w.q
 		res.Interp = toPoint(testing.Benchmark(func(b *testing.B) {
@@ -343,20 +345,20 @@ func runEvalBench(path string) error {
 		res.Cold = toPoint(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				datalog.Compile(q, rowCat).Eval(db)
+				runPlan(datalog.Compile(q, rowCat), db, datalog.RunOpts{})
 			}
 		}))
 		res.Warm = toPoint(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(db)
+				runPlan(plan, db, datalog.RunOpts{})
 			}
 		}))
 		workers := runtime.GOMAXPROCS(0)
 		res.Parallel = toPoint(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.EvalParallel(db, workers)
+				runPlan(plan, db, datalog.RunOpts{Workers: workers})
 			}
 		}))
 		if res.Warm.NsPerOp > 0 {
@@ -378,7 +380,7 @@ func runEvalBench(path string) error {
 		if err != nil {
 			return err
 		}
-		_, fst, err := cp.EvalRelation(w.db, w.answerPred, 1)
+		_, fst, err := cp.RunRelation(context.Background(), w.db, w.answerPred, datalog.RunOpts{})
 		if err != nil {
 			return err
 		}
@@ -405,7 +407,7 @@ func runEvalBench(path string) error {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := cp2.Eval(db); err != nil {
+				if _, err := cp2.Run(context.Background(), db, datalog.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,7 +415,7 @@ func runEvalBench(path string) error {
 		res.Warm = toPoint(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cp.Eval(db); err != nil {
+				if _, err := cp.Run(context.Background(), db, datalog.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -421,7 +423,7 @@ func runEvalBench(path string) error {
 		res.WarmServing = toPoint(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := cp.EvalRelation(db, pred, 1); err != nil {
+				if _, _, err := cp.RunRelation(context.Background(), db, pred, datalog.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -508,9 +510,9 @@ func runPreparedBench(report *EvalBenchReport) error {
 		if err != nil {
 			return err
 		}
-		// One untimed Answer pass witnesses the template sharing.
+		// One untimed AnswerBudget pass witnesses the template sharing.
 		for _, q := range queries {
-			if _, err := eng.Answer(q); err != nil {
+			if _, err := eng.AnswerBudget(context.Background(), q, engine.Budget{}); err != nil {
 				return err
 			}
 		}
@@ -526,7 +528,7 @@ func runPreparedBench(report *EvalBenchReport) error {
 
 		answerNs, _, err := minNs(reps, func(int) error {
 			for _, q := range queries {
-				if _, err := eng.Answer(q); err != nil {
+				if _, err := eng.AnswerBudget(context.Background(), q, engine.Budget{}); err != nil {
 					return err
 				}
 			}
@@ -543,7 +545,7 @@ func runPreparedBench(report *EvalBenchReport) error {
 		}
 		preparedNs, _, err := minNs(reps, func(int) error {
 			for _, a := range args {
-				if _, err := pq.Exec(a); err != nil {
+				if _, err := pq.ExecBudget(context.Background(), engine.Budget{}, a); err != nil {
 					return err
 				}
 			}
@@ -573,14 +575,14 @@ func runPreparedBench(report *EvalBenchReport) error {
 					if rw == nil {
 						return fmt.Errorf("%s: no rewriting for %s", bench.name, q)
 					}
-					datalog.Compile(rw.Query, cat).Eval(db)
+					runPlan(datalog.Compile(rw.Query, cat), db, datalog.RunOpts{})
 				case engine.MiniCon:
 					u, _, err := minicon.Rewrite(cq.Canonicalize(q), vs, minicon.Options{VerifyCandidates: true, KeepComparisons: true})
 					if err != nil {
 						return err
 					}
 					for _, m := range u.Queries {
-						datalog.Compile(m, cat).Eval(db)
+						runPlan(datalog.Compile(m, cat), db, datalog.RunOpts{})
 					}
 				}
 			}
@@ -605,12 +607,11 @@ func runPreparedBench(report *EvalBenchReport) error {
 }
 
 // runGovernanceBench measures the cancellation-check overhead of the
-// context-aware execution paths and merges the "governance" section into
-// the JSON report at path. Each workload alternates the legacy entry point
-// and its Ctx variant under a live guard (cancelable context that never
-// fires, no budgets) in one process and keeps the best of each side, so
-// the ratio isolates the per-row `tick` and the round-barrier polls from
-// host noise.
+// compiled executors and merges the "governance" section into the JSON
+// report at path. Each workload alternates Run under context.Background()
+// (nil guards) and the same Run under a live guard (cancelable context
+// that never fires, no budgets) in one process, so the ratio isolates the
+// per-row `tick` and the round-barrier polls from host noise.
 func runGovernanceBench(path string) error {
 	var report EvalBenchReport
 	if path != "-" {
@@ -632,16 +633,16 @@ func runGovernanceBench(path string) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// measure runs legacy and governed back-to-back `rounds` times (the
+	// measure runs plain and governed back-to-back `rounds` times (the
 	// side that goes first alternates per round) and reports the median of
-	// the per-round governed/legacy ratios: the two runs of a round share
+	// the per-round governed/plain ratios: the two runs of a round share
 	// the host's clock speed, cache and GC state, so slow drift — which on
 	// this workload swings single runs by ±20% — cancels out of each ratio,
 	// and the median discards the rounds where a GC cycle landed on one
 	// side. Best-of on each side independently does not have this property:
 	// it compares a lucky run of one side against a lucky run of the other,
 	// taken under different host states.
-	measure := func(res GovernanceBenchResult, rounds int, legacy, governed func() error) error {
+	measure := func(res GovernanceBenchResult, rounds int, plain, governed func() error) error {
 		// One sample = two consecutive runs from a freshly collected heap:
 		// the forced GC equalizes the allocator state both sides start
 		// from, and summing two runs averages over where the in-run GC
@@ -662,22 +663,22 @@ func runGovernanceBench(path string) error {
 		}
 		var ratios, bases, govs []float64
 		for r := 0; r < rounds; r++ {
-			var legNs, govNs float64
+			var plainNs, govNs float64
 			var err error
 			if r%2 == 0 {
-				if legNs, err = time1(legacy); err == nil {
+				if plainNs, err = time1(plain); err == nil {
 					govNs, err = time1(governed)
 				}
 			} else {
 				if govNs, err = time1(governed); err == nil {
-					legNs, err = time1(legacy)
+					plainNs, err = time1(plain)
 				}
 			}
 			if err != nil {
 				return err
 			}
-			ratios = append(ratios, govNs/legNs)
-			bases = append(bases, legNs)
+			ratios = append(ratios, govNs/plainNs)
+			bases = append(bases, plainNs)
 			govs = append(govs, govNs)
 		}
 		median := func(xs []float64) float64 {
@@ -714,12 +715,15 @@ func runGovernanceBench(path string) error {
 		res := GovernanceBenchResult{
 			Name:    "serve_join",
 			Tuples:  db.TotalTuples(),
-			Answers: len(plan.EvalParallel(db, workers)),
+			Answers: len(runPlan(plan, db, datalog.RunOpts{Workers: workers})),
 		}
 		if err := measure(res, 13,
-			func() error { plan.EvalParallel(db, workers); return nil },
 			func() error {
-				_, err := plan.EvalParallelCtx(ctx, db, nil, workers, datalog.Limits{})
+				_, err := plan.Run(context.Background(), db, datalog.RunOpts{Workers: workers})
+				return err
+			},
+			func() error {
+				_, err := plan.Run(ctx, db, datalog.RunOpts{Workers: workers})
 				return err
 			}); err != nil {
 			return err
@@ -752,11 +756,11 @@ func runGovernanceBench(path string) error {
 		res := GovernanceBenchResult{Name: "tc_chain", Tuples: edges.TotalTuples()}
 		if err := measure(res, 13,
 			func() error {
-				_, err := cp.EvalParallel(edges, workers)
+				_, err := cp.Run(context.Background(), edges, datalog.RunOpts{Workers: workers})
 				return err
 			},
 			func() error {
-				_, err := cp.EvalCtx(ctx, edges, workers, datalog.Limits{})
+				_, err := cp.Run(ctx, edges, datalog.RunOpts{Workers: workers})
 				return err
 			}); err != nil {
 			return err
@@ -841,7 +845,7 @@ func runIVMBench(report *EvalBenchReport) error {
 		}
 		derivedPerRep := make([]int, reps)
 		deltaNs, bestRep, err := minNs(reps, func(rep int) error {
-			res, err := m.ApplyBatch(batches[rep])
+			res, err := m.ApplyUpdateCtx(context.Background(), batches[rep], nil, datalog.Limits{})
 			if err != nil {
 				return err
 			}
@@ -892,7 +896,7 @@ func runIVMBench(report *EvalBenchReport) error {
 	}
 
 	// Non-monotone maintenance over the same flat views: delete-heavy and
-	// mixed-churn batches through counting maintenance (ApplyUpdate) against
+	// mixed-churn batches through counting maintenance (ApplyUpdateCtx) against
 	// re-materializing every extent from the post-batch base — the engine's
 	// only option before deletions existed. An untimed priming batch (delete
 	// plus re-insert of one tuple) builds the lazy derivation counts so the
@@ -910,7 +914,7 @@ func runIVMBench(report *EvalBenchReport) error {
 		}
 		prime := base.Relation("p1").Tuples()[0]
 		one := map[string][]storage.Tuple{"p1": {prime}}
-		if _, err := m.ApplyUpdate(one, one); err != nil {
+		if _, err := m.ApplyUpdateCtx(context.Background(), one, one, datalog.Limits{}); err != nil {
 			return err
 		}
 		extentN := m.Database().TotalTuples() - baseN
@@ -946,7 +950,7 @@ func runIVMBench(report *EvalBenchReport) error {
 		derivedPerRep := make([]int, reps)
 		retractedPerRep := make([]int, reps)
 		deltaNs, bestRep, err := minNs(reps, func(rep int) error {
-			res, err := m.ApplyUpdate(insBatches[rep], delBatches[rep])
+			res, err := m.ApplyUpdateCtx(context.Background(), insBatches[rep], delBatches[rep], datalog.Limits{})
 			if err != nil {
 				return err
 			}
@@ -1014,7 +1018,7 @@ func runIVMBench(report *EvalBenchReport) error {
 		return err
 	}
 	for _, deltaN := range []int{1, 3} {
-		maintained, err := cp.Eval(edges)
+		maintained, err := cp.Run(context.Background(), edges, datalog.RunOpts{})
 		if err != nil {
 			return err
 		}
@@ -1034,9 +1038,12 @@ func runIVMBench(report *EvalBenchReport) error {
 		}
 		derivedPerRep := make([]int, reps)
 		deltaNs, bestRep, err := minNs(reps, func(rep int) error {
-			_, _, stats, err := cp.ApplyInserts(maintained, batches[rep], 1)
-			derivedPerRep[rep] = stats.Derived
-			return err
+			res, err := cp.Apply(context.Background(), maintained, nil, batches[rep], nil, datalog.RunOpts{})
+			if err != nil {
+				return err
+			}
+			derivedPerRep[rep] = res.Stats.Derived
+			return nil
 		})
 		if err != nil {
 			return err
@@ -1046,7 +1053,7 @@ func runIVMBench(report *EvalBenchReport) error {
 			shadow.Insert("e", t)
 		}
 		fullNs, _, err := minNs(reps, func(int) error {
-			_, err := cp.Eval(shadow)
+			_, err := cp.Run(context.Background(), shadow, datalog.RunOpts{})
 			return err
 		})
 		if err != nil {
@@ -1074,7 +1081,7 @@ func runIVMBench(report *EvalBenchReport) error {
 	// point of measuring the recursive deletion path separately.
 	{
 		st := cp.NewMaintState(edges)
-		maintained, err := cp.Eval(edges)
+		maintained, err := cp.Run(context.Background(), edges, datalog.RunOpts{})
 		if err != nil {
 			return err
 		}
@@ -1091,7 +1098,7 @@ func runIVMBench(report *EvalBenchReport) error {
 		derivedPerRep := make([]int, reps)
 		retractedPerRep := make([]int, reps)
 		deltaNs, bestRep, err := minNs(reps, func(rep int) error {
-			res, err := cp.ApplyUpdates(maintained, st, nil, batches[rep], 1)
+			res, err := cp.Apply(context.Background(), maintained, st, nil, batches[rep], datalog.RunOpts{})
 			if err != nil {
 				return err
 			}
@@ -1107,7 +1114,7 @@ func runIVMBench(report *EvalBenchReport) error {
 			shadow.Relation("e").Remove(t)
 		}
 		fullNs, _, err := minNs(reps, func(int) error {
-			_, err := cp.Eval(shadow)
+			_, err := cp.Run(context.Background(), shadow, datalog.RunOpts{})
 			return err
 		})
 		if err != nil {
@@ -1130,4 +1137,11 @@ func runIVMBench(report *EvalBenchReport) error {
 		report.IVM = append(report.IVM, res)
 	}
 	return nil
+}
+
+// runPlan is CompiledPlan.Run under context.Background(), which cannot fail
+// without limits.
+func runPlan(p *datalog.CompiledPlan, db *storage.Database, o datalog.RunOpts) []storage.Tuple {
+	rows, _ := p.Run(context.Background(), db, o)
+	return rows
 }

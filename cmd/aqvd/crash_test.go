@@ -190,7 +190,7 @@ func TestDaemonKill9CrashRecovery(t *testing.T) {
 				t.Fatalf("acknowledged batch %v lost across kill -9", e.tuples)
 			}
 			ups := map[string][]storage.Tuple{"r": {e.tuples[0], e.tuples[1]}}
-			if err := shadow.ApplyUpdate(ups, nil); err != nil {
+			if err := shadow.ApplyUpdateBudget(context.Background(), ups, nil, engine.Budget{}); err != nil {
 				t.Fatal(err)
 			}
 		case got[key0] != got[key1]:
@@ -198,7 +198,7 @@ func TestDaemonKill9CrashRecovery(t *testing.T) {
 		case got[key0]:
 			limboPresent++
 			ups := map[string][]storage.Tuple{"r": {e.tuples[0], e.tuples[1]}}
-			if err := shadow.ApplyUpdate(ups, nil); err != nil {
+			if err := shadow.ApplyUpdateBudget(context.Background(), ups, nil, engine.Budget{}); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -208,7 +208,7 @@ func TestDaemonKill9CrashRecovery(t *testing.T) {
 	if limboPresent+limboAbsent > 1 {
 		t.Fatalf("%d batches in limbo, want at most the single in-flight one", limboPresent+limboAbsent)
 	}
-	want, err := shadow.Answer(cq.MustParseQuery("q(X,Y) :- r(X,Y)"))
+	want, err := shadow.AnswerBudget(context.Background(), cq.MustParseQuery("q(X,Y) :- r(X,Y)"), engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -24,6 +25,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	// Base schema:
 	//   order(OrderId, CustId)      customer(CustId, RegionId)
 	//   region(RegionId, Name)      bigOrder(OrderId)
@@ -97,7 +99,7 @@ func main() {
 	dStart := time.Now()
 	direct := aqv.EvalQuery(base, q)
 	dTime := time.Since(dStart)
-	answers, err := eng.Answer(q)
+	answers, err := eng.AnswerBudget(ctx, q, aqv.EngineBudget{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,8 +136,10 @@ func main() {
 	naiveTime := time.Since(naiveStart)
 
 	servedStart := time.Now()
-	if _, err := eng.AnswerBatch(stream); err != nil {
-		log.Fatal(err)
+	for _, sq := range stream {
+		if _, err := eng.AnswerBudget(ctx, sq, aqv.EngineBudget{}); err != nil {
+			log.Fatal(err)
+		}
 	}
 	servedTime := time.Since(servedStart)
 
@@ -160,7 +164,7 @@ func main() {
 	}
 	prepStart := time.Now()
 	for i := 0; i < streamLen; i++ {
-		if _, err := pq.Exec(id("c", i%nCustomers)); err != nil {
+		if _, err := pq.ExecBudget(ctx, aqv.EngineBudget{}, id("c", i%nCustomers)); err != nil {
 			log.Fatal(err)
 		}
 	}

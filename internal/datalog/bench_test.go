@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -31,20 +32,20 @@ func benchEvalRoutes(b *testing.B, db *storage.Database, q *cq.Query) {
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			plan.Eval(db)
+			runPlan(plan, db, RunOpts{})
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			plan.EvalParallel(db, workers)
+			runPlan(plan, db, RunOpts{Workers: workers})
 		}
 	})
 	b.Run("cold_compile", func(b *testing.B) {
 		b.ReportAllocs()
 		cat := cost.NewRowCatalog(db)
 		for i := 0; i < b.N; i++ {
-			Compile(q, cat).Eval(db)
+			runPlan(Compile(q, cat), db, RunOpts{})
 		}
 	})
 }
@@ -128,7 +129,7 @@ func BenchmarkEvalDisconnected(b *testing.B) {
 // Fixpoint benchmarks: interpretive Program.EvalInterp vs the compiled
 // semi-naive executor on recursive workloads. "warm" reuses a precompiled
 // CompiledProgram (the engine's steady state); "cold" pays compilation per
-// op; "warm_rel" is the serving path (EvalRelation — no result-database
+// op; "warm_rel" is the serving path (RunRelation — no result-database
 // clone).
 
 func benchProgramRoutes(b *testing.B, db *storage.Database, p *Program, answerPred string) {
@@ -150,7 +151,7 @@ func benchProgramRoutes(b *testing.B, db *storage.Database, p *Program, answerPr
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cp.Eval(db); err != nil {
+			if _, err := cp.Run(context.Background(), db, RunOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -158,7 +159,7 @@ func benchProgramRoutes(b *testing.B, db *storage.Database, p *Program, answerPr
 	b.Run("warm_rel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cp.EvalRelation(db, answerPred, 1); err != nil {
+			if _, _, err := cp.RunRelation(context.Background(), db, answerPred, RunOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -170,7 +171,7 @@ func benchProgramRoutes(b *testing.B, db *storage.Database, p *Program, answerPr
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cp2.Eval(db); err != nil {
+			if _, err := cp2.Run(context.Background(), db, RunOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

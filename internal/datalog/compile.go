@@ -30,8 +30,8 @@ import (
 //
 // The executor never mutates the relations it reads: candidate sets come
 // from Relation.LookupPositions (a shared []int, no []Tuple materialised)
-// with a scan fallback when indexes are stale. EvalParallel may therefore
-// shard the outermost candidate loop across goroutines over a frozen
+// with a scan fallback when indexes are stale. Run may therefore shard the
+// outermost candidate loop across RunOpts.Workers goroutines over a frozen
 // database, merging per-worker results at the end.
 
 // colAction says how one column of a step's candidate tuple is used.
@@ -127,11 +127,10 @@ func Compile(q *cq.Query, cat *cost.Catalog) *CompiledPlan {
 // become parameter slots, treated as bound before the first join step —
 // join ordering, index-probe selection and comparison placement all see
 // them as available values, exactly like constants whose value arrives at
-// execution time. Execute with EvalWith/EvalParallelWith, passing one
-// argument per parameter in the order given here. Parameters may occur
-// anywhere a variable can (body atoms, comparisons, the head); a prepared
-// point lookup compiles to the same index-probe plan as its constant-bound
-// original.
+// execution time. Execute with Run, passing one RunOpts.Args entry per
+// parameter in the order given here. Parameters may occur anywhere a
+// variable can (body atoms, comparisons, the head); a prepared point lookup
+// compiles to the same index-probe plan as its constant-bound original.
 func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPlan {
 	if cat == nil {
 		cat = &cost.Catalog{}
@@ -463,54 +462,10 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 	return true
 }
 
-// Eval executes the plan over db sequentially and returns the distinct
-// answer tuples in sorted order. It never mutates db; callers wanting
-// indexed access paths should freeze the relations first (BuildIndexes),
-// as EvalQuery and the serving engine do. Parameterized plans
-// (CompileParams) must use EvalWith instead.
-func (p *CompiledPlan) Eval(db *storage.Database) []storage.Tuple {
-	return p.EvalParallel(db, 1)
-}
-
-// EvalWith executes a parameterized plan sequentially under the given
-// argument binding: args[i] is the value of the i-th parameter passed to
-// CompileParams. It panics unless len(args) matches the parameter count —
-// an arity mismatch is a programming error, like calling a function with
-// the wrong number of arguments.
-func (p *CompiledPlan) EvalWith(db *storage.Database, args []string) []storage.Tuple {
-	return p.EvalParallelWith(db, args, 1)
-}
-
-// EvalParallel executes the plan with each component's outermost candidate
-// loop sharded round-robin across up to workers goroutines, each with its
-// own frame and dedup set, merged (and sorted) at the end. workers <= 1
-// runs sequentially. The database must not be mutated during the call;
-// it does not need to be frozen — stale indexes degrade to scans.
-func (p *CompiledPlan) EvalParallel(db *storage.Database, workers int) []storage.Tuple {
-	return p.EvalParallelWith(db, nil, workers)
-}
-
-// EvalParallelWith is EvalParallel under an argument binding (EvalWith).
-func (p *CompiledPlan) EvalParallelWith(db *storage.Database, args []string, workers int) []storage.Tuple {
-	return storage.SortTuples(p.EvalParallelUnsortedWith(db, args, workers))
-}
-
-// EvalParallelUnsorted is EvalParallel without the final sort: the
-// distinct answers in discovery order. Callers that merge several plans'
-// results (the engine's union evaluation) dedup first and sort once.
-func (p *CompiledPlan) EvalParallelUnsorted(db *storage.Database, workers int) []storage.Tuple {
-	return p.EvalParallelUnsortedWith(db, nil, workers)
-}
-
-// EvalParallelUnsortedWith is EvalParallelUnsorted under an argument
-// binding (EvalWith).
-func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []string, workers int) []storage.Tuple {
-	return p.evalUnsorted(db, args, workers, nil)
-}
-
-// evalUnsorted is the shared executor behind the legacy (gs == nil) and
-// context-aware entry points. On a tripped guard the partial rows are
-// meaningless; callers must consult gs.failure() first.
+// evalUnsorted is the executor behind Run: the distinct answers in
+// discovery order, with args bound to the parameter slots. On a tripped
+// guard the partial rows are meaningless; callers must consult
+// gs.failure() first.
 func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers int, gs *guardState) []storage.Tuple {
 	base := p.baseFrame(args)
 	// Single-component fast path (the common case): emit head tuples
@@ -599,29 +554,6 @@ func (p *CompiledPlan) baseFrame(args []string) []string {
 		base[s] = args[i]
 	}
 	return base
-}
-
-// Count returns the number of distinct answers without materialising them:
-// the product of the components' distinct projection counts (head tuples
-// are injective in the head-variable assignment). Parameterized plans must
-// use CountWith.
-func (p *CompiledPlan) Count(db *storage.Database) int {
-	return p.CountWith(db, nil)
-}
-
-// CountWith is Count under an argument binding (EvalWith).
-func (p *CompiledPlan) CountWith(db *storage.Database, args []string) int {
-	parts, ok := p.componentRows(db, 1, p.baseFrame(args), nil)
-	if !ok {
-		return 0
-	}
-	n := 1
-	for i := range p.components {
-		if len(p.components[i].headSlots) > 0 {
-			n *= len(parts[i])
-		}
-	}
-	return n
 }
 
 // resolve binds the component's steps to db: tuple slices plus, for steps

@@ -19,12 +19,12 @@ func checkAgreement(t *testing.T, db *storage.Database, q *cq.Query, label strin
 	t.Helper()
 	want := EvalQueryNaive(db, q)
 	plan := Compile(q, cost.NewCatalog(db))
-	if got := plan.Eval(db); !storage.TuplesEqual(got, want) {
-		t.Fatalf("%s: compiled Eval disagrees with naive\nquery: %s\nplan:\n%s got %v\nwant %v",
+	if got := runPlan(plan, db, RunOpts{}); !storage.TuplesEqual(got, want) {
+		t.Fatalf("%s: compiled Run disagrees with naive\nquery: %s\nplan:\n%s got %v\nwant %v",
 			label, q, plan.Describe(), got, want)
 	}
-	if got := plan.EvalParallel(db, 4); !storage.TuplesEqual(got, want) {
-		t.Fatalf("%s: EvalParallel disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
+	if got := runPlan(plan, db, RunOpts{Workers: 4}); !storage.TuplesEqual(got, want) {
+		t.Fatalf("%s: parallel Run disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
 	}
 	if got := EvalQuery(db, q); !storage.TuplesEqual(got, want) {
 		t.Fatalf("%s: EvalQuery disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
@@ -32,8 +32,8 @@ func checkAgreement(t *testing.T, db *storage.Database, q *cq.Query, label strin
 	if got := EvalQueryInterp(db, q); !storage.TuplesEqual(got, want) {
 		t.Fatalf("%s: interpreter disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
 	}
-	if got := CountQuery(db, q); got != len(want) {
-		t.Fatalf("%s: CountQuery = %d, want %d\nquery: %s", label, got, len(want), q)
+	if got := runPlan(plan, db, RunOpts{Unsorted: true}); !storage.TuplesEqual(got, want) {
+		t.Fatalf("%s: unsorted Run disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestEvalParallelUnfrozenNeverMutates(t *testing.T) {
 	db := workload.RandomDatabase(rng, []string{"p1", "p2"}, 2, 200, 20)
 	q := cq.MustParseQuery("q(X,Z) :- p1(X,Y), p2(Y,Z)")
 	plan := Compile(q, nil)
-	want := plan.Eval(db)
+	want := runPlan(plan, db, RunOpts{})
 	if db.Relation("p1").Frozen() {
 		t.Fatal("compiled executor mutated the relation (built indexes)")
 	}
@@ -206,8 +206,8 @@ func TestEvalParallelUnfrozenNeverMutates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if got := plan.EvalParallel(db, 4); !storage.TuplesEqual(got, want) {
-					t.Errorf("concurrent EvalParallel diverged")
+				if got := runPlan(plan, db, RunOpts{Workers: 4}); !storage.TuplesEqual(got, want) {
+					t.Errorf("concurrent parallel Run diverged")
 					return
 				}
 			}
@@ -231,28 +231,12 @@ func TestEvalParallelFrozenConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if got := plan.EvalParallel(db, 4); !storage.TuplesEqual(got, want) {
-					t.Errorf("concurrent EvalParallel diverged")
+				if got := runPlan(plan, db, RunOpts{Workers: 4}); !storage.TuplesEqual(got, want) {
+					t.Errorf("concurrent parallel Run diverged")
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCountQueryDisconnected pins the satellite fix: counting a
-// disconnected query must not enumerate the cross product. With two
-// components of 1000 rows each the product has 10^6 combinations; the
-// per-component count finishes immediately.
-func TestCountQueryDisconnected(t *testing.T) {
-	db := storage.NewDatabase()
-	for i := 0; i < 1000; i++ {
-		db.Insert("a", storage.Tuple{fmt.Sprintf("x%d", i)})
-		db.Insert("b", storage.Tuple{fmt.Sprintf("y%d", i)})
-	}
-	q := cq.MustParseQuery("q(X,Y) :- a(X), b(Y)")
-	if n := CountQuery(db, q); n != 1000*1000 {
-		t.Fatalf("CountQuery = %d, want 1000000", n)
-	}
 }

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,7 +13,7 @@ import (
 )
 
 // Compiled datalog programs. CompileProgram lowers every rule of a Program
-// to slot-plan form once; CompiledProgram.Eval then runs a proper semi-naive
+// to slot-plan form once; CompiledProgram.Run then runs a proper semi-naive
 // fixpoint over the compiled rules with none of the interpretive overhead of
 // Program.EvalInterp:
 //
@@ -26,17 +27,17 @@ import (
 //     previous round's delta instead of the full relation. Rounds after the
 //     first run only delta variants, so work is proportional to what the
 //     last round derived, not to the accumulated fixpoint;
-//   - derived (IDB) relations are private to the Eval call and maintain
+//   - derived (IDB) relations are private to the run and maintain
 //     their probe-column hash indexes incrementally as tuples are inserted,
 //     instead of the interpreter's discard-and-rebuild on every insert;
 //   - within a round, rule-variant executions only read the relations
-//     (inserts are buffered and merged between rounds), so EvalParallel can
-//     run a round's variants across goroutines without locks.
+//     (inserts are buffered and merged between rounds), so a round's
+//     variants can run across RunOpts.Workers goroutines without locks.
 //
 // The executor never mutates the EDB it reads: base candidates come from
 // frozen column indexes when available and degrade to scans otherwise,
-// exactly like CompiledPlan. Any number of Evals may therefore run
-// concurrently over one shared (even unfrozen) database.
+// exactly like CompiledPlan. Any number of RunRelation calls may therefore
+// run concurrently over one shared database; Run indexes a private clone.
 
 // ruleHeadOp builds one head-tuple column: from a Skolem application over
 // frame slots, from a frame slot, or from a constant.
@@ -80,9 +81,9 @@ type compiledRule struct {
 	full     ruleVariant
 	deltas   []ruleVariant
 	// edbDeltas are per-EDB-occurrence delta variants, compiled only for
-	// maintenance programs (CompileProgramIVM): they seed a MaintainDelta
-	// round from a batch of base-relation inserts, exactly as the IDB
-	// variants in deltas continue it from derived tuples.
+	// maintenance programs (CompileProgramIVM): they seed an Apply
+	// propagation round from a batch of base-relation inserts, exactly as
+	// the IDB variants in deltas continue it from derived tuples.
 	edbDeltas []ruleVariant
 	src       Rule // retained for Describe
 }
@@ -109,7 +110,7 @@ type CompiledProgram struct {
 	// incrementally.
 	idbProbeCols map[string][]int
 	// ivm marks programs compiled with per-EDB-occurrence delta variants
-	// (CompileProgramIVM); only those support MaintainDelta.
+	// (CompileProgramIVM); only those support Apply.
 	ivm bool
 	// flat marks IVM programs whose rule bodies reference no derived
 	// predicate (non-recursive, single-level view sets): deletions maintain
@@ -140,7 +141,7 @@ func CompileProgram(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
 
 // CompileProgramIVM is CompileProgram for incremental view maintenance: in
 // addition to the per-IDB-occurrence delta variants it lowers one delta
-// variant per EDB body occurrence, so MaintainDelta can seed a semi-naive
+// variant per EDB body occurrence, so Apply can seed a semi-naive
 // propagation round directly from a batch of base-relation inserts instead
 // of re-running the fixpoint from scratch.
 func CompileProgramIVM(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
@@ -336,7 +337,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 	return v
 }
 
-// idbRel is a per-Eval derived relation: a growing tuple set with hash
+// idbRel is a per-run derived relation: a growing tuple set with hash
 // indexes on the plan's probe columns, maintained incrementally on insert
 // (the interpreter instead invalidates and rebuilds indexes every round).
 type idbRel struct {
@@ -389,26 +390,6 @@ type fixTask struct {
 	delta []storage.Tuple // nil for full variants
 }
 
-// Eval runs the compiled fixpoint over edb and returns a database containing
-// the EDB relations plus all derived (IDB) relations, exactly like
-// Program.EvalInterp. The input database is never mutated.
-func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error) {
-	return cp.EvalParallel(edb, 1)
-}
-
-// EvalParallel is Eval with each round's rule-variant executions fanned out
-// across up to workers goroutines. Within a round the executions only read
-// the (immutable-for-the-round) relations and buffer their derivations;
-// buffers are merged sequentially between rounds, so results are identical
-// to the sequential evaluation.
-func (cp *CompiledProgram) EvalParallel(edb *storage.Database, workers int) (*storage.Database, error) {
-	idb, _, err := cp.run(edb, workers, nil, Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return materializeIDB(edb.Clone(), idb)
-}
-
 // materializeIDB inserts the derived relations into db and returns it.
 func materializeIDB(db *storage.Database, idb map[string]*idbRel) (*storage.Database, error) {
 	for pred, ir := range idb {
@@ -421,33 +402,6 @@ func materializeIDB(db *storage.Database, idb map[string]*idbRel) (*storage.Data
 		}
 	}
 	return db, nil
-}
-
-// EvalRelation runs the fixpoint and returns just one relation's tuples —
-// the serving path: the engine asks for the answer predicate and skips the
-// full-database clone Eval pays for API compatibility. The returned slice is
-// fresh; callers may sort or filter it in place.
-func (cp *CompiledProgram) EvalRelation(edb *storage.Database, pred string, workers int) ([]storage.Tuple, FixpointStats, error) {
-	return cp.evalRelation(edb, pred, workers, nil, Limits{})
-}
-
-// evalRelation is the shared implementation behind EvalRelation and
-// EvalRelationCtx. On a guard or budget failure the partial stats are
-// returned with the error so callers can report progress.
-func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, workers int, gs *guardState, lim Limits) ([]storage.Tuple, FixpointStats, error) {
-	idb, stats, err := cp.run(edb, workers, gs, lim)
-	if err != nil {
-		return nil, stats, err
-	}
-	if ir, ok := idb[pred]; ok {
-		return ir.tuples, stats, nil
-	}
-	if rel := edb.Relation(pred); rel != nil {
-		out := make([]storage.Tuple, len(rel.Tuples()))
-		copy(out, rel.Tuples())
-		return out, stats, nil
-	}
-	return nil, stats, nil
 }
 
 // run executes the semi-naive loop: round 0 fires every rule's full plan;
@@ -554,7 +508,7 @@ func (cp *CompiledProgram) runRound(edb *storage.Database, idb map[string]*idbRe
 // runTaskSet executes n independent task bodies across up to workers
 // goroutines, collecting each body's derivation buffer. Bodies only read
 // round-stable state, so the fan-out needs no locks; the fixpoint rounds
-// and the maintenance rounds (MaintainDelta) share it.
+// and the maintenance rounds (Apply) share it.
 func runTaskSet(n, workers int, run func(int) ([]derivedTuple, error)) ([][]derivedTuple, error) {
 	bufs := make([][]derivedTuple, n)
 	if workers > n {
@@ -686,10 +640,8 @@ func buildHeadTuple(head []ruleHeadOp, frame []string) storage.Tuple {
 }
 
 // freeze builds exactly the EDB column indexes the program's probes need, so
-// one-shot evaluation gets index candidates instead of scan fallbacks. Like
-// CompiledPlan.freeze it mutates edb and carries the same single-writer
-// requirement; the serving engine freezes its database at construction and
-// never calls this.
+// Run's private clone gets index candidates instead of scan fallbacks
+// before the first round.
 func (cp *CompiledProgram) freeze(edb *storage.Database) {
 	for i := range cp.rules {
 		r := &cp.rules[i]
@@ -750,26 +702,15 @@ func describeVariant(sb *strings.Builder, label string, v *ruleVariant) {
 }
 
 // Eval computes the fixpoint of the program over the EDB and returns a
-// database containing the EDB relations plus all derived (IDB) relations.
-// The input database is not modified: like the interpretive EvalInterp it
-// evaluates over a private clone, on which it builds exactly the column
-// indexes the compiled probes need.
-//
-// Since the introduction of compiled programs this is a thin wrapper: it
-// compiles the rules to slot-plan form (CompileProgram) and runs the
-// compiled semi-naive loop once. Applications evaluating the same program
-// repeatedly should CompileProgram once and reuse it — the serving engine
-// caches the compiled program in its plan LRU.
+// database containing the EDB relations plus all derived (IDB) relations;
+// edb is not modified. It compiles the rules (CompileProgram) and runs them
+// once: applications evaluating the same program repeatedly should compile
+// once and reuse the CompiledProgram, as the serving engine's plan LRU
+// does.
 func (p *Program) Eval(edb *storage.Database) (*storage.Database, error) {
 	cp, err := CompileProgram(p, cost.NewRowCatalog(edb))
 	if err != nil {
 		return nil, err
 	}
-	db := edb.Clone()
-	cp.freeze(db)
-	idb, _, err := cp.run(db, 1, nil, Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return materializeIDB(db, idb)
+	return cp.Run(context.Background(), edb, RunOpts{})
 }

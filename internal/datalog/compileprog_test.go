@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestCompiledProgramTransitiveClosure(t *testing.T) {
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	out, err := cp.Eval(db)
+	out, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestCompiledProgramStats(t *testing.T) {
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	tuples, stats, err := cp.EvalRelation(db, "tc", 1)
+	tuples, stats, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestCompiledProgramMutualRecursion(t *testing.T) {
 		RuleFromQuery(mustQ("odd(X,Z) :- even(X,Y), e(Y,Z)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	got, err := cp.Eval(db)
+	got, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestCompiledProgramSkolemHeads(t *testing.T) {
 	}
 	p := NewProgram(rules...)
 	cp := mustCompileProgram(t, p, db)
-	out, err := cp.Eval(db)
+	out, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestCompiledProgramHeadConstantAndComparison(t *testing.T) {
 	db.Insert("n", storage.Tuple{"5"})
 	p := NewProgram(RuleFromQuery(mustQ("big(X,tag) :- n(X), X > 3")))
 	cp := mustCompileProgram(t, p, db)
-	out, err := cp.Eval(db)
+	out, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestCompiledProgramGroundFalseComparison(t *testing.T) {
 	q.AddComparison(cq.NewComparison(cq.IntConst(1), cq.Gt, cq.IntConst(2)))
 	p := NewProgram(RuleFromQuery(q))
 	cp := mustCompileProgram(t, p, db)
-	out, err := cp.Eval(db)
+	out, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCompiledProgramUnsafeComparisonVarDerivesNothing(t *testing.T) {
 	q.AddComparison(cq.NewComparison(cq.Var("Zfree"), cq.Lt, cq.IntConst(9)))
 	p := NewProgram(RuleFromQuery(q))
 	cp := mustCompileProgram(t, p, db)
-	out, err := cp.Eval(db)
+	out, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +204,12 @@ func TestCompiledProgramUnboundHeadVarErrors(t *testing.T) {
 		Body:     []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
 	cp := mustCompileProgram(t, NewProgram(rule), db)
-	if _, err := cp.Eval(db); err == nil {
+	if _, err := cp.Run(context.Background(), db, RunOpts{}); err == nil {
 		t.Fatal("unsafe rule evaluated without error")
 	}
 	// No body match → no error, matching the interpreter's lazy check.
 	empty := storage.NewDatabase()
-	if _, err := cp.Eval(empty); err != nil {
+	if _, err := cp.Run(context.Background(), empty, RunOpts{}); err != nil {
 		t.Fatalf("unsafe rule with empty body relation errored: %v", err)
 	}
 }
@@ -222,7 +223,7 @@ func TestCompiledProgramUnboundSkolemArgErrors(t *testing.T) {
 		Body:     []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
 	cp := mustCompileProgram(t, NewProgram(rule), db)
-	if _, err := cp.Eval(db); err == nil {
+	if _, err := cp.Run(context.Background(), db, RunOpts{}); err == nil {
 		t.Fatal("unbound Skolem argument evaluated without error")
 	}
 }
@@ -247,7 +248,7 @@ func TestCompiledProgramEDBSeedsIDBRelation(t *testing.T) {
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	got, err := cp.Eval(db)
+	got, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestCompiledProgramEDBSeedsIDBRelation(t *testing.T) {
 	// Arity clash between EDB relation and rule head is an evaluation error.
 	bad := storage.NewDatabase()
 	bad.Insert("tc", storage.Tuple{"only-one-column"})
-	if _, err := cp.Eval(bad); err == nil {
+	if _, err := cp.Run(context.Background(), bad, RunOpts{}); err == nil {
 		t.Fatal("arity clash with EDB relation evaluated without error")
 	}
 }
@@ -273,7 +274,7 @@ func TestCompiledProgramEvalRelation(t *testing.T) {
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	tuples, _, err := cp.EvalRelation(db, "tc", 2)
+	tuples, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestCompiledProgramEvalRelation(t *testing.T) {
 		t.Fatalf("tc = %v", tuples)
 	}
 	// EDB predicate: returns a copy of the base tuples.
-	edges, _, err := cp.EvalRelation(db, "e", 1)
+	edges, _, err := cp.RunRelation(context.Background(), db, "e", RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestCompiledProgramEvalRelation(t *testing.T) {
 		t.Fatalf("e = %v", edges)
 	}
 	// Unknown predicate: nil.
-	if none, _, _ := cp.EvalRelation(db, "nope", 1); none != nil {
+	if none, _, _ := cp.RunRelation(context.Background(), db, "nope", RunOpts{}); none != nil {
 		t.Fatalf("nope = %v", none)
 	}
 }

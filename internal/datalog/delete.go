@@ -33,17 +33,17 @@ import (
 //   - DRed (delete-and-rederive), for everything else (recursive programs,
 //     multi-level rules such as inverse-rules output, and programs whose
 //     derived predicates coincide with base relations): an over-deletion
-//     fixpoint runs the same delta variants MaintainDelta uses, over the
-//     still-intact pre-delete database, marking everything that *might*
+//     fixpoint runs the same delta variants as insert propagation, over
+//     the still-intact pre-delete database, marking everything that *might*
 //     have lost support; the marked tuples are physically removed; then a
 //     bounded semi-naive pass re-derives the survivors — round 0 runs each
 //     rule rooted at its own head (fed by the over-deleted set), later
 //     rounds propagate re-insertions through the ordinary IDB delta
 //     variants until quiescence.
 //
-// ApplyUpdates is the single entry point: a mixed batch (deletes applied
-// before inserts) that is atomic — every mutation is recorded in an
-// operation journal and rolled back on error or panic, so a canceled or
+// Apply is the single entry point: a mixed batch (deletes applied before
+// inserts) that is atomic — every mutation is recorded in an operation
+// journal and rolled back on error or panic, so a canceled or
 // budget-tripped batch leaves the database exactly as it was.
 
 // UpdateResult reports one applied mixed batch: what actually changed in
@@ -66,7 +66,7 @@ type UpdateResult struct {
 // same-named base relations at materialization — their support is the
 // relation itself and can never be deleted), and, for flat programs, the
 // lazily built derivation counts. Build one with NewMaintState over the
-// *pre-materialization* base database and pass it to every ApplyUpdates
+// *pre-materialization* base database and pass it to every Apply
 // call against the same maintained database. A nil state is accepted
 // (empty baseline, counts rebuilt per call) but wasteful for flat programs.
 type MaintState struct {
@@ -80,7 +80,7 @@ type MaintState struct {
 
 // NewMaintState captures the deletion state of a database about to be
 // materialized: the facts of every derived predicate that already exist as
-// base facts. Call it on the base database before CompiledProgram.Eval.
+// base facts. Call it on the base database before CompiledProgram.Run.
 func (cp *CompiledProgram) NewMaintState(base *storage.Database) *MaintState {
 	st := &MaintState{}
 	for pred, arity := range cp.idbArity {
@@ -656,31 +656,27 @@ func (j *updateJournal) rollback() {
 
 // ---- mixed batch application ----
 
-// ApplyUpdates applies a mixed batch — deletions, then insertions — to a
-// maintained database, keeping every derived extent exact: counting for
-// flat programs, DRed for the rest (see the package comment above). The
-// batch is atomic: on any error the database is rolled back to its
-// pre-batch state (a panic rolls back, then re-panics). Predicates derived
-// by the program are rejected on both sides; deletions of absent tuples
-// and insertions of present ones are no-ops. st carries the deletion state
-// across batches (NewMaintState); nil is accepted but rebuilds flat counts
-// every call.
-func (cp *CompiledProgram) ApplyUpdates(db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int) (*UpdateResult, error) {
-	return cp.applyUpdates(db, st, inserts, deletes, workers, nil, Limits{})
-}
-
-// ApplyUpdatesCtx is ApplyUpdates under a context and limits. Unlike the
-// insert-only Ctx entry points, cancellation or a tripped budget never
-// leaves a partial state: the journal rolls the batch back before the
-// error returns.
-func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int, lim Limits) (*UpdateResult, error) {
+// Apply applies a mixed batch — deletions, then insertions — to a
+// maintained database (the database Run returned, or one maintained by
+// earlier calls), keeping every derived extent exact. Insert-only batches
+// propagate monotonically until the first deletion builds the flat
+// derivation counts; from then on, and for every batch with deletions,
+// flat programs take the counting path and the rest take DRed (see the
+// comment at the top of this file). Predicates derived by the program are
+// rejected on both sides; deletions of absent tuples and insertions of
+// present ones are no-ops. st carries the deletion state across batches
+// (NewMaintState); nil is accepted but rebuilds flat counts every call.
+// Args and Unsorted in o are ignored.
+//
+// The batch is atomic: it is validated before anything is mutated, and
+// on any later error — cancellation (ErrCanceled), a tripped budget
+// (ErrBudgetExceeded) — the journal rolls db back to its exact pre-batch
+// state before the error returns. A panic rolls back, then re-panics.
+func (cp *CompiledProgram) Apply(ctx context.Context, db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, o RunOpts) (res *UpdateResult, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	return cp.applyUpdates(db, st, inserts, deletes, workers, fixpointGuard(ctx, lim), lim)
-}
-
-func (cp *CompiledProgram) applyUpdates(db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (res *UpdateResult, err error) {
+	workers, lim, gs := o.Workers, o.Limits, fixpointGuard(ctx, o.Limits)
 	if !cp.ivm {
 		return nil, ErrNotMaintenance
 	}
@@ -766,8 +762,8 @@ func (cp *CompiledProgram) validateDeletes(db *storage.Database, deletes map[str
 	return nil
 }
 
-// validateInserts is the schema validation applyInserts performs, shared so
-// mixed batches can validate both sides before the delete phase mutates.
+// validateInserts rejects insertions into derived relations and tuples of
+// the wrong width — before anything is mutated.
 func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[string][]storage.Tuple) error {
 	for pred, tuples := range updates {
 		if _, idb := cp.idbArity[pred]; idb {
@@ -829,20 +825,9 @@ func (cp *CompiledProgram) applyCounting(db *storage.Database, st *MaintState, j
 		}
 	}
 	j.markInserts()
-	fresh := make(map[string][]storage.Tuple)
-	for pred, tuples := range inserts {
-		if len(tuples) == 0 {
-			continue
-		}
-		rel, err := db.Ensure(pred, len(tuples[0]))
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range tuples {
-			if rel.Insert(t) {
-				fresh[pred] = append(fresh[pred], t)
-			}
-		}
+	fresh, err := insertBase(db, inserts)
+	if err != nil {
+		return nil, err
 	}
 	res.BaseInserted = fresh
 	var incs map[string]map[string]*countedTuple

@@ -58,7 +58,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 			dred++
 		}
 		st := cp.NewMaintState(edb)
-		maintained, err := cp.Eval(edb)
+		maintained, err := cp.Run(context.Background(), edb, RunOpts{})
 		if err != nil {
 			t.Fatalf("stream %d: materialize: %v\n%s", stream, err, prog)
 		}
@@ -80,7 +80,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 				ins = randomUpdate(rng)
 			}
 			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdates(maintained, st, ins, del, workers)
+			res, err := cp.Apply(context.Background(), maintained, st, ins, del, RunOpts{Workers: workers})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: update: %v\n%s", stream, batch, err, prog)
 			}
@@ -165,13 +165,13 @@ func TestApplyUpdatesCounting(t *testing.T) {
 		t.Fatal("view set should select the counting strategy")
 	}
 	st := cp.NewMaintState(base)
-	db, err := cp.Eval(base)
+	db, err := cp.Run(context.Background(), base, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Cross-rule: v(1) has two supports; losing one must not retract it.
-	res, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"a": {{"1"}}}, 1)
+	res, err := cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"a": {{"1"}}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestApplyUpdatesCounting(t *testing.T) {
 	if !st.CountsReady() {
 		t.Fatal("first deletion should have built the derivation counts")
 	}
-	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1)
+	res, err = cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"b": {{"1"}}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestApplyUpdatesCounting(t *testing.T) {
 	}
 
 	// Within-rule multiplicity: w(1) has two r-derivations.
-	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, 1)
+	res, err = cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +199,9 @@ func TestApplyUpdatesCounting(t *testing.T) {
 	}
 
 	// Same-tuple delete+insert in one batch nets to present.
-	res, err = cp.ApplyUpdates(db, st,
+	res, err = cp.Apply(context.Background(), db, st,
 		map[string][]storage.Tuple{"r": {{"1", "q"}}},
-		map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1)
+		map[string][]storage.Tuple{"r": {{"1", "q"}}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestApplyUpdatesCounting(t *testing.T) {
 		t.Fatal("delete+insert of the same tuple must net to present")
 	}
 	// And the counts stayed exact: one more delete retracts.
-	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1)
+	res, err = cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cp.NewMaintState(base)
-	db, err := cp.Eval(base)
+	db, err := cp.Run(context.Background(), base, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"a"}}}, 1); err != nil {
+	if _, err := cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"a"}}}, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tup := range []storage.Tuple{{"a"}, {"s"}} {
@@ -262,11 +262,11 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 		t.Fatal("recursive program should select DRed")
 	}
 	st2 := cp2.NewMaintState(base2)
-	db2, err := cp2.Eval(base2)
+	db2, err := cp2.Run(context.Background(), base2, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp2.ApplyUpdates(db2, st2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 1)
+	res, err := cp2.Apply(context.Background(), db2, st2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +297,12 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cp.NewMaintState(base)
-	db, err := cp.Eval(base)
+	db, err := cp.Run(context.Background(), base, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
-	res, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, 2)
+	res, err := cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, RunOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 	}
 
 	// Now cut the alternative path too: the downstream closure collapses.
-	_, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 2)
+	_, err = cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, RunOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.ApplyUpdates(storage.NewDatabase(), nil, nil, nil, 1); err != ErrNotMaintenance {
+	if _, err := plain.Apply(context.Background(), storage.NewDatabase(), nil, nil, nil, RunOpts{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -353,18 +353,18 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a", "b"})
 	st := cp.NewMaintState(base)
-	db, err := cp.Eval(base)
+	db, err := cp.Run(context.Background(), base, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Deleting from the derived relation is rejected.
-	if _, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"v": {{"a"}}}, 1); err == nil {
+	if _, err := cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{"v": {{"a"}}}, RunOpts{}); err == nil {
 		t.Fatal("delete from derived relation accepted")
 	}
 	// Arity mismatch on the delete side fails before the insert side runs.
-	_, err = cp.ApplyUpdates(db, st,
+	_, err = cp.Apply(context.Background(), db, st,
 		map[string][]storage.Tuple{"r": {{"c", "d"}}},
-		map[string][]storage.Tuple{"r": {{"oops"}}}, 1)
+		map[string][]storage.Tuple{"r": {{"oops"}}}, RunOpts{})
 	if err == nil {
 		t.Fatal("wrong-arity delete accepted")
 	}
@@ -376,10 +376,10 @@ func TestApplyUpdatesErrors(t *testing.T) {
 		t.Fatal("failed batch mutated the database")
 	}
 	// Deleting absent tuples and from absent relations is a clean no-op.
-	res, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{
+	res, err := cp.Apply(context.Background(), db, st, nil, map[string][]storage.Tuple{
 		"r":       {{"z", "z"}},
 		"missing": {{"1"}},
-	}, 1)
+	}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := cp.NewMaintState(base)
-		db, err := cp.Eval(base)
+		db, err := cp.Run(context.Background(), base, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		// Pre-canceled context: rejected before any work.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := cp.ApplyUpdatesCtx(ctx, db, st, nil, map[string][]storage.Tuple{"e": {{"0", "1"}}}, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+		if _, err := cp.Apply(ctx, db, st, nil, map[string][]storage.Tuple{"e": {{"0", "1"}}}, RunOpts{Limits: Limits{}}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("recursive=%v: err = %v, want ErrCanceled", recursive, err)
 		}
 		diffDatabases(t, "canceled batch", db, snapshot)
@@ -430,14 +430,14 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		// counting case the insert side derives past the cap.
 		ins := map[string][]storage.Tuple{"e": {{"20", "21"}, {"21", "22"}}}
 		del := map[string][]storage.Tuple{"e": {{"0", "1"}, {"5", "6"}}}
-		_, err = cp.ApplyUpdatesCtx(context.Background(), db, st, ins, del, 2, Limits{MaxDerived: 1})
+		_, err = cp.Apply(context.Background(), db, st, ins, del, RunOpts{Workers: 2, Limits: Limits{MaxDerived: 1}})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("recursive=%v: err = %v, want ErrBudgetExceeded", recursive, err)
 		}
 		diffDatabases(t, fmt.Sprintf("budget-tripped batch (recursive=%v)", recursive), db, snapshot)
 
 		// The same batch with room succeeds and stays consistent.
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, ins, del, 2, Limits{}); err != nil {
+		if _, err := cp.Apply(context.Background(), db, st, ins, del, RunOpts{Workers: 2, Limits: Limits{}}); err != nil {
 			t.Fatalf("recursive=%v: %v", recursive, err)
 		}
 		shadow := base.Clone()

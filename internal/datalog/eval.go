@@ -11,6 +11,8 @@
 package datalog
 
 import (
+	"context"
+
 	"repro/internal/cost"
 	"repro/internal/cq"
 	"repro/internal/storage"
@@ -55,7 +57,8 @@ func (l layered) Relation(pred string) *storage.Relation {
 func EvalQuery(db *storage.Database, q *cq.Query) []storage.Tuple {
 	p := Compile(q, cost.NewRowCatalog(db, q.Predicates()...))
 	p.freeze(db)
-	return p.Eval(db)
+	rows, _ := p.Run(context.Background(), db, RunOpts{}) // cannot fail: no ctx, no limits
+	return rows
 }
 
 // freeze builds exactly the column indexes the plan's probes need so the
@@ -287,17 +290,6 @@ func valueOf(t cq.Term, b Bindings) (string, bool) {
 	}
 	v, ok := b[t.Lex]
 	return v, ok
-}
-
-// CountQuery returns the number of distinct answers without materialising
-// them in sorted order. It evaluates through the compiled plan, so a
-// disconnected query is counted per connected component and combined as a
-// product of distinct projection counts — not by enumerating the full
-// cross product the way the old joinBody-based count did.
-func CountQuery(db *storage.Database, q *cq.Query) int {
-	p := Compile(q, cost.NewRowCatalog(db, q.Predicates()...))
-	p.freeze(db)
-	return p.Count(db)
 }
 
 // MaterializeView evaluates a view definition and stores its extent in dst

@@ -21,9 +21,10 @@ import (
 // budgets are checked at round barriers, where partial-progress stats are
 // already consistent.
 //
-// The legacy entry points pass a nil guard everywhere, which compiles to a
-// single pointer test per candidate row — the pre-governance fast path is
-// preserved bit-for-bit.
+// Under a context that can never fire (context.Background()) and zero
+// limits the guard is nil everywhere, which compiles to a single pointer
+// test per candidate row — the ungoverned fast path is preserved
+// bit-for-bit.
 
 // ErrCanceled reports that an evaluation observed context cancellation (or
 // deadline expiry) and stopped early. Match with errors.Is.
@@ -68,7 +69,7 @@ type guardState struct {
 }
 
 // newGuardState builds the shared state for one evaluation, or nil when
-// neither the context nor the limits can ever fire — the legacy fast path.
+// neither the context nor the limits can ever fire — the fast path.
 func newGuardState(ctx context.Context, maxRows int) *guardState {
 	done := ctx.Done()
 	if done == nil && maxRows <= 0 {
@@ -168,7 +169,7 @@ func (g *evalGuard) poll() bool {
 // emitRow records one distinct row produced by this worker and reports true
 // when the row budget is exhausted. A single worker's distinct count is a
 // lower bound on the evaluation's distinct total, so tripping here is never
-// a false positive; the entry points re-check the combined result exactly.
+// a false positive; Run re-checks the combined result exactly.
 func (g *evalGuard) emitRow() bool {
 	if g == nil || g.maxRows <= 0 {
 		return false
@@ -186,52 +187,55 @@ func (g *evalGuard) tripRows() bool {
 	return true
 }
 
-// ---- Context-aware plan evaluation ----
+// ---- The entry points ----
 
-// EvalCtx is Eval under a context and limits: evaluation stops within
-// ~guardInterval candidate rows of ctx firing, returning ErrCanceled, and
-// returns an error wrapping ErrBudgetExceeded when the answer set exceeds
-// lim.MaxRows. With a never-firing context and zero limits it is exactly
-// Eval. Parameterized plans must use EvalParallelCtx with args.
-func (p *CompiledPlan) EvalCtx(ctx context.Context, db *storage.Database, lim Limits) ([]storage.Tuple, error) {
-	return p.EvalParallelCtx(ctx, db, nil, 1, lim)
+// RunOpts configures one execution of a compiled plan or program. The zero
+// value under context.Background() is the plain evaluation: sequential,
+// sorted, unlimited, with nil guards all the way down.
+type RunOpts struct {
+	// Args binds a parameterized plan's parameters (CompileParams) in
+	// declaration order. A plan panics unless len(Args) matches its
+	// parameter count — an arity mismatch is a programming error, like
+	// calling a function with the wrong number of arguments. Programs
+	// ignore it.
+	Args []string
+	// Workers fans a plan's outermost candidate loop, or a fixpoint or
+	// maintenance round's rule variants, across up to Workers goroutines;
+	// 0 or 1 runs sequentially. Results are identical either way.
+	Workers int
+	// Unsorted returns a plan's distinct answers in discovery order instead
+	// of sorted: callers merging several plans' results (a union) dedup
+	// first and sort once. Programs ignore it.
+	Unsorted bool
+	// Limits bounds the execution; the zero value is unlimited.
+	Limits Limits
 }
 
-// EvalParallelCtx is EvalParallelWith under a context and limits. The
-// returned rows are sorted; on error the partial rows are discarded.
-func (p *CompiledPlan) EvalParallelCtx(ctx context.Context, db *storage.Database, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
-	rows, err := p.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
-	if err != nil {
-		return nil, err
-	}
-	return storage.SortTuples(rows), nil
-}
-
-// EvalParallelUnsortedCtx is EvalParallelUnsortedWith under a context and
-// limits (unsorted distinct answers in discovery order).
-func (p *CompiledPlan) EvalParallelUnsortedCtx(ctx context.Context, db *storage.Database, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
+// Run executes the plan over db and returns its distinct answers, sorted
+// unless o.Unsorted. It never mutates db, which must not be mutated during
+// the call; callers wanting indexed access paths freeze it first
+// (BuildIndexes), as EvalQuery and the serving engine do — stale indexes
+// degrade to scans. Evaluation stops within ~guardInterval candidate rows
+// of ctx firing, returning ErrCanceled, and returns an error wrapping
+// ErrBudgetExceeded when the answer set exceeds o.Limits.MaxRows; on error
+// the partial rows are discarded.
+func (p *CompiledPlan) Run(ctx context.Context, db *storage.Database, o RunOpts) ([]storage.Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	gs := newGuardState(ctx, lim.MaxRows)
-	rows := p.evalUnsorted(db, args, workers, gs)
-	return finishRows(rows, gs, lim)
-}
-
-// finishRows applies the shared post-checks of the ctx entry points: a
-// tripped guard wins, then the exact MaxRows check over the combined
-// result.
-func finishRows(rows []storage.Tuple, gs *guardState, lim Limits) ([]storage.Tuple, error) {
+	gs := newGuardState(ctx, o.Limits.MaxRows)
+	rows := p.evalUnsorted(db, o.Args, o.Workers, gs)
 	if err := gs.failure(); err != nil {
 		return nil, err
 	}
-	if lim.MaxRows > 0 && len(rows) > lim.MaxRows {
-		return nil, fmt.Errorf("datalog: result has %d row(s), budget is %d: %w", len(rows), lim.MaxRows, ErrBudgetExceeded)
+	if max := o.Limits.MaxRows; max > 0 && len(rows) > max {
+		return nil, fmt.Errorf("datalog: result has %d row(s), budget is %d: %w", len(rows), max, ErrBudgetExceeded)
+	}
+	if !o.Unsorted {
+		storage.SortTuples(rows)
 	}
 	return rows, nil
 }
-
-// ---- Context-aware fixpoint and maintenance ----
 
 // fixpointGuard builds the guard for a fixpoint-shaped run: cancellation
 // from ctx, with the per-worker emit backstop wired to the derivation
@@ -241,46 +245,47 @@ func fixpointGuard(ctx context.Context, lim Limits) *guardState {
 	return newGuardState(ctx, lim.MaxDerived)
 }
 
-// EvalCtx is EvalParallel under a context and limits. On cancellation or a
-// tripped budget the partial database is discarded; use EvalRelationCtx
-// when partial-progress stats matter.
-func (cp *CompiledProgram) EvalCtx(ctx context.Context, edb *storage.Database, workers int, lim Limits) (*storage.Database, error) {
+// Run evaluates the program's fixpoint over edb and returns a database
+// holding the EDB relations plus every derived relation, like
+// Program.EvalInterp. edb is neither mutated nor retained: the fixpoint
+// runs over a private clone, indexed on exactly the columns the compiled
+// probes need before the first round, into which the derived relations are
+// then inserted. On cancellation or a tripped budget the partial database
+// is discarded; use RunRelation when partial-progress stats matter.
+func (cp *CompiledProgram) Run(ctx context.Context, edb *storage.Database, o RunOpts) (*storage.Database, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	idb, _, err := cp.run(edb, workers, fixpointGuard(ctx, lim), lim)
+	db := edb.Clone()
+	cp.freeze(db)
+	idb, _, err := cp.run(db, o.Workers, fixpointGuard(ctx, o.Limits), o.Limits)
 	if err != nil {
 		return nil, err
 	}
-	return materializeIDB(edb.Clone(), idb)
+	return materializeIDB(db, idb)
 }
 
-// EvalRelationCtx is EvalRelation under a context and limits. On error the
-// returned FixpointStats carry the partial progress (rounds executed,
-// tuples derived) at the moment the run stopped.
-func (cp *CompiledProgram) EvalRelationCtx(ctx context.Context, edb *storage.Database, pred string, workers int, lim Limits) ([]storage.Tuple, FixpointStats, error) {
+// RunRelation evaluates the fixpoint over edb and returns just pred's
+// tuples — the serving path: the engine asks for the answer predicate and
+// skips the clone Run pays. edb is only read, so any number of runs may
+// share one frozen database. The returned slice is fresh; callers may sort
+// or filter it in place. On error the stats carry the partial progress
+// (rounds executed, tuples derived) at the moment the run stopped.
+func (cp *CompiledProgram) RunRelation(ctx context.Context, edb *storage.Database, pred string, o RunOpts) ([]storage.Tuple, FixpointStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, FixpointStats{}, ErrCanceled
 	}
-	return cp.evalRelation(edb, pred, workers, fixpointGuard(ctx, lim), lim)
-}
-
-// MaintainDeltaCtx is MaintainDeltaParallel under a context and limits.
-// On error db holds a partially propagated state: the caller must either
-// discard it or roll back (ivm.Maintainer does the latter).
-func (cp *CompiledProgram) MaintainDeltaCtx(ctx context.Context, db *storage.Database, delta map[string][]storage.Tuple, workers int, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FixpointStats{}, ErrCanceled
+	idb, stats, err := cp.run(edb, o.Workers, fixpointGuard(ctx, o.Limits), o.Limits)
+	if err != nil {
+		return nil, stats, err
 	}
-	return cp.maintainDelta(db, delta, workers, fixpointGuard(ctx, lim), lim)
-}
-
-// ApplyInsertsCtx is ApplyInserts under a context and limits. Validation
-// errors still leave db unchanged; cancellation or budget errors leave it
-// partially updated, with the same roll-back caveat as MaintainDeltaCtx.
-func (cp *CompiledProgram) ApplyInsertsCtx(ctx context.Context, db *storage.Database, updates map[string][]storage.Tuple, workers int, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, FixpointStats{}, ErrCanceled
+	if ir, ok := idb[pred]; ok {
+		return ir.tuples, stats, nil
 	}
-	return cp.applyInserts(db, updates, workers, fixpointGuard(ctx, lim), lim)
+	if rel := edb.Relation(pred); rel != nil {
+		out := make([]storage.Tuple, len(rel.Tuples()))
+		copy(out, rel.Tuples())
+		return out, stats, nil
+	}
+	return nil, stats, nil
 }

@@ -41,24 +41,28 @@ func tcClosureProgram(t *testing.T, db *storage.Database) *CompiledProgram {
 	return mustCompileProgram(t, p, db)
 }
 
+// TestEvalCtxParity: a run under a cancellable context (live guards) returns
+// exactly what the unguarded run returns, sequentially and in parallel.
 func TestEvalCtxParity(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"})
 	db.BuildIndexes()
 	plan := Compile(mustQ("q(X,Z) :- e(X,Y), e(Y,Z)"), cost.NewCatalog(db))
-	want := plan.Eval(db)
-	got, err := plan.EvalCtx(context.Background(), db, Limits{})
+	want := runPlan(plan, db, RunOpts{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := plan.Run(ctx, db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !storage.TuplesEqual(got, want) {
-		t.Fatalf("EvalCtx = %v want %v", got, want)
+		t.Fatalf("guarded Run = %v want %v", got, want)
 	}
-	got, err = plan.EvalParallelCtx(context.Background(), db, nil, 2, Limits{})
+	got, err = plan.Run(ctx, db, RunOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !storage.TuplesEqual(got, want) {
-		t.Fatalf("EvalParallelCtx = %v want %v", got, want)
+		t.Fatalf("guarded parallel Run = %v want %v", got, want)
 	}
 }
 
@@ -68,7 +72,7 @@ func TestEvalCtxPreCanceled(t *testing.T) {
 	plan := Compile(mustQ("q(X,Y) :- e(X,Y)"), cost.NewCatalog(db))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.EvalCtx(ctx, db, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := plan.Run(ctx, db, RunOpts{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -88,7 +92,7 @@ func TestEvalCtxCancelMidEval(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rows, err = plan.EvalParallelCtx(ctx, db, nil, 2, Limits{})
+		rows, err = plan.Run(ctx, db, RunOpts{Workers: 2})
 	}()
 	time.Sleep(2 * time.Millisecond)
 	cancel()
@@ -111,11 +115,11 @@ func TestEvalCtxRowBudget(t *testing.T) {
 	db := crossDB(100)
 	db.BuildIndexes()
 	plan := Compile(mustQ("q(X,Y) :- r(X), s(Y)"), cost.NewCatalog(db))
-	if _, err := plan.EvalParallelCtx(context.Background(), db, nil, 2, Limits{MaxRows: 500}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := plan.Run(context.Background(), db, RunOpts{Workers: 2, Limits: Limits{MaxRows: 500}}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	// Under the budget: full answer, no error.
-	rows, err := plan.EvalParallelCtx(context.Background(), db, nil, 2, Limits{MaxRows: 100 * 100})
+	rows, err := plan.Run(context.Background(), db, RunOpts{Workers: 2, Limits: Limits{MaxRows: 100 * 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestFixpointCtxRoundAndDerivationBudgets(t *testing.T) {
 	db.BuildIndexes()
 	cp := tcClosureProgram(t, db)
 
-	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", 1, Limits{MaxRounds: 5})
+	_, stats, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{Limits: Limits{MaxRounds: 5}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("MaxRounds err = %v, want ErrBudgetExceeded", err)
 	}
@@ -140,7 +144,7 @@ func TestFixpointCtxRoundAndDerivationBudgets(t *testing.T) {
 		t.Fatal("partial stats should report derived tuples")
 	}
 
-	_, stats, err = cp.EvalRelationCtx(context.Background(), db, "tc", 1, Limits{MaxDerived: 100})
+	_, stats, err = cp.RunRelation(context.Background(), db, "tc", RunOpts{Limits: Limits{MaxDerived: 100}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("MaxDerived err = %v, want ErrBudgetExceeded", err)
 	}
@@ -149,11 +153,11 @@ func TestFixpointCtxRoundAndDerivationBudgets(t *testing.T) {
 	}
 
 	// Generous limits: identical to the unbounded run.
-	want, _, err := cp.EvalRelation(db, "tc", 1)
+	want, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := cp.EvalRelationCtx(context.Background(), db, "tc", 1, Limits{MaxRounds: 1000, MaxDerived: 1 << 30})
+	got, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{Limits: Limits{MaxRounds: 1000, MaxDerived: 1 << 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestFixpointCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, stats, err := cp.EvalRelationCtx(ctx, db, "tc", 2, Limits{})
+	_, stats, err := cp.RunRelation(ctx, db, "tc", RunOpts{Workers: 2})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Skip("machine finished the fixpoint before the deadline")
@@ -195,11 +199,11 @@ func TestFixpointParallelCtxCancel(t *testing.T) {
 	cp := tcClosureProgram(t, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cp.EvalRelationCtx(ctx, db, "tc", 2, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, _, err := cp.RunRelation(ctx, db, "tc", RunOpts{Workers: 2}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	// Budget path on the multi-worker fixpoint.
-	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", 2, Limits{MaxRounds: 3})
+	_, stats, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{Workers: 2, Limits: Limits{MaxRounds: 3}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -218,7 +222,7 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := cp.Eval(db)
+	mat, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,26 +230,27 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := cp.ApplyInsertsCtx(ctx, mat, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := cp.Apply(ctx, mat, nil, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, nil, RunOpts{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 
 	// A new edge closing the chain into place derives ~n tuples per round;
-	// a tiny round budget trips mid-propagation.
-	_, _, stats, err := cp.ApplyInsertsCtx(context.Background(), mat,
-		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, 1, Limits{MaxRounds: 2})
+	// a tiny round budget trips mid-propagation and the batch rolls back.
+	before := mat.TotalTuples()
+	_, err = cp.Apply(context.Background(), mat, nil,
+		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, nil, RunOpts{Limits: Limits{MaxRounds: 2}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if stats.Iterations != 2 {
-		t.Fatalf("Iterations = %d, want 2", stats.Iterations)
+	if got := mat.TotalTuples(); got != before {
+		t.Fatalf("tripped batch left %d tuples, want %d", got, before)
 	}
 }
 
-// TestEvalCtxExistingBehaviorUnchanged pins the legacy entry points to the
-// guard-free path: a plan evaluated through Eval/EvalParallelWith must not
-// allocate guard state (observable as identical results and no errors —
-// the nil-guard fast path is exercised by every other test in the package).
+// TestEvalCtxZeroLimitsIsUnguarded pins the zero RunOpts under
+// context.Background() to the guard-free path: no guard state is allocated
+// (the nil-guard fast path is exercised by every other test in the
+// package).
 func TestEvalCtxZeroLimitsIsUnguarded(t *testing.T) {
 	if gs := newGuardState(context.Background(), 0); gs != nil {
 		t.Fatal("background context + zero limits should produce a nil guard")

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -54,7 +55,7 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		}
 
 		// The maintained database: full materialization once, then deltas.
-		maintained, err := cp.Eval(edb)
+		maintained, err := cp.Run(context.Background(), edb, RunOpts{})
 		if err != nil {
 			t.Fatalf("stream %d: materialize: %v\n%s", stream, err, prog)
 		}
@@ -68,10 +69,11 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		for batch := 0; batch < batches; batch++ {
 			upd := randomUpdate(rng)
 			workers := 1 + rng.Intn(4)
-			fresh, derived, stats, err := cp.ApplyInserts(maintained, upd, workers)
+			res, err := cp.Apply(context.Background(), maintained, nil, upd, nil, RunOpts{Workers: workers})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: maintain: %v\n%s", stream, batch, err, prog)
 			}
+			fresh, derived, stats := res.BaseInserted, res.Derived, res.Stats
 			for pred, tuples := range upd {
 				for _, tup := range tuples {
 					if err := shadow.Insert(pred, tup); err != nil {
@@ -116,7 +118,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := cp.Eval(base)
+	db, err := cp.Run(context.Background(), base, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +128,11 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	}
 
 	// Batch 1: a new r tuple joining an existing s tuple.
-	_, derived, stats, err := cp.ApplyInserts(db, map[string][]storage.Tuple{"r": {{"b", "m"}}}, 1)
+	res, err := cp.Apply(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived, stats := res.Derived, res.Stats
 	if len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"b", "x"}).Key() {
 		t.Fatalf("batch 1 derived %v, want v(b,x)", derived)
 	}
@@ -139,13 +142,14 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 
 	// Batch 2: both halves of a fresh join arrive in one batch, plus a
 	// duplicate base fact that must not derive anything.
-	_, derived, _, err = cp.ApplyInserts(db, map[string][]storage.Tuple{
+	res, err = cp.Apply(context.Background(), db, nil, map[string][]storage.Tuple{
 		"r": {{"c", "n"}, {"a", "m"}},
 		"s": {{"n", "y"}},
-	}, 1)
+	}, nil, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived = res.Derived
 	if len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"c", "y"}).Key() {
 		t.Fatalf("batch 2 derived %v, want exactly v(c,y)", derived)
 	}
@@ -170,17 +174,18 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := cp.Eval(base)
+	db, err := cp.Run(context.Background(), base, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
 	before := db.Relation("tc").Len()
 
-	_, derived, _, err := cp.ApplyInserts(db, map[string][]storage.Tuple{"e": {{"10", "11"}}}, 2)
+	res, err := cp.Apply(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, RunOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived := res.Derived
 	// The new edge closes 0..10 → 11: eleven new tc tuples.
 	if len(derived["tc"]) != 11 {
 		t.Fatalf("derived %d tc tuples, want 11: %v", len(derived["tc"]), derived["tc"])
@@ -204,11 +209,8 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := storage.NewDatabase()
-	if _, _, err := plain.MaintainDelta(db, nil); err != ErrNotMaintenance {
+	if _, err := plain.Apply(context.Background(), db, nil, nil, nil, RunOpts{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
-	}
-	if _, _, _, err := plain.ApplyInserts(db, nil, 1); err != ErrNotMaintenance {
-		t.Fatalf("non-IVM ApplyInserts: err = %v, want ErrNotMaintenance", err)
 	}
 
 	cp, err := CompileProgramIVM(prog, nil)
@@ -216,29 +218,30 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Insert("r", storage.Tuple{"a", "b"})
-	mdb, err := cp.Eval(db)
+	mdb, err := cp.Run(context.Background(), db, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Inserting into the derived relation is rejected.
-	if _, _, _, err := cp.ApplyInserts(mdb, map[string][]storage.Tuple{"v": {{"z"}}}, 1); err == nil {
+	if _, err := cp.Apply(context.Background(), mdb, nil, map[string][]storage.Tuple{"v": {{"z"}}}, nil, RunOpts{}); err == nil {
 		t.Fatal("insert into derived relation accepted")
 	}
 	// Arity mismatches are rejected before anything is mutated.
-	if _, _, _, err := cp.ApplyInserts(mdb, map[string][]storage.Tuple{
+	if _, err := cp.Apply(context.Background(), mdb, nil, map[string][]storage.Tuple{
 		"r":     {{"c", "d"}},
 		"wrong": {{"1"}, {"1", "2"}},
-	}, 1); err == nil {
+	}, nil, RunOpts{}); err == nil {
 		t.Fatal("mixed-arity batch accepted")
 	}
 	if mdb.Relation("r").Len() != 1 || mdb.Relation("wrong") != nil {
 		t.Fatal("failed batch mutated the database")
 	}
 	// An empty batch is a no-op.
-	fresh, derived, stats, err := cp.ApplyInserts(mdb, nil, 1)
+	res, err := cp.Apply(context.Background(), mdb, nil, nil, nil, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh, derived, stats := res.BaseInserted, res.Derived, res.Stats
 	if len(fresh) != 0 || len(derived) != 0 || stats.Iterations != 0 || stats.Derived != 0 {
 		t.Fatalf("empty batch did work: %v %v %+v", fresh, derived, stats)
 	}

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -38,7 +39,7 @@ func TestCompileParamsPointLookup(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		arg := fmt.Sprintf("a%d", i)
-		got := plan.EvalWith(db, []string{arg})
+		got := runPlan(plan, db, RunOpts{Args: []string{arg}})
 		want := EvalQuery(db, instantiate(q, []string{"P"}, []string{arg}))
 		if !storage.TuplesEqual(got, want) {
 			t.Fatalf("arg %s: got %v want %v", arg, got, want)
@@ -58,7 +59,7 @@ func TestCompileParamsArityMismatchPanics(t *testing.T) {
 			t.Fatal("arity mismatch did not panic")
 		}
 	}()
-	plan.Eval(storage.NewDatabase())
+	plan.Run(context.Background(), storage.NewDatabase(), RunOpts{})
 }
 
 func TestCompileParamsInHeadAndComparison(t *testing.T) {
@@ -72,7 +73,7 @@ func TestCompileParamsInHeadAndComparison(t *testing.T) {
 	q := cq.MustParseQuery("q(X,P) :- r(X,P), X < P")
 	plan := CompileParams(q, []string{"P"}, cost.NewCatalog(db))
 	for _, arg := range []string{"0", "1", "2", "3", "4"} {
-		got := plan.EvalWith(db, []string{arg})
+		got := runPlan(plan, db, RunOpts{Args: []string{arg}})
 		want := EvalQuery(db, instantiate(q, []string{"P"}, []string{arg}))
 		if !storage.TuplesEqual(got, want) {
 			t.Fatalf("arg %s: got %v want %v", arg, got, want)
@@ -90,10 +91,10 @@ func TestCompileParamsDisconnectedComponents(t *testing.T) {
 	// The s component is a pure existence check gated on the parameter.
 	q := cq.MustParseQuery("q(X) :- r(X), s(P,Y)")
 	plan := CompileParams(q, []string{"P"}, cost.NewCatalog(db))
-	if got := plan.EvalWith(db, []string{"3"}); len(got) != 20 {
+	if got := runPlan(plan, db, RunOpts{Args: []string{"3"}}); len(got) != 20 {
 		t.Fatalf("existing witness: %d answers, want 20", len(got))
 	}
-	if got := plan.EvalWith(db, []string{"99"}); len(got) != 0 {
+	if got := runPlan(plan, db, RunOpts{Args: []string{"99"}}); len(got) != 0 {
 		t.Fatalf("missing witness: %v, want none", got)
 	}
 }
@@ -147,10 +148,10 @@ func TestCompileParamsDifferential(t *testing.T) {
 				args[i] = fmt.Sprintf("c%d", rng.Intn(14)) // sometimes absent
 			}
 			want := EvalQuery(db, instantiate(q, params, args))
-			if got := plan.EvalWith(db, args); !storage.TuplesEqual(got, want) {
+			if got := runPlan(plan, db, RunOpts{Args: args}); !storage.TuplesEqual(got, want) {
 				t.Fatalf("trial %d %s args %v: got %v want %v", trial, q, args, got, want)
 			}
-			if got := plan.EvalParallelWith(db, args, 4); !storage.TuplesEqual(got, want) {
+			if got := runPlan(plan, db, RunOpts{Args: args, Workers: 4}); !storage.TuplesEqual(got, want) {
 				t.Fatalf("trial %d %s args %v (parallel): got %v want %v", trial, q, args, got, want)
 			}
 		}

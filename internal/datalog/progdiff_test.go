@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -190,13 +191,13 @@ func TestCompiledProgramDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, prog)
 		}
-		got, err := cp.Eval(db)
+		got, err := cp.Run(context.Background(), db, RunOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: compiled eval: %v\n%s", trial, err, prog)
 		}
 		diffDatabases(t, fmt.Sprintf("trial %d (seq)\n%s", trial, prog), got, want)
 
-		gotPar, err := cp.EvalParallel(db, 1+rng.Intn(4))
+		gotPar, err := cp.Run(context.Background(), db, RunOpts{Workers: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatalf("trial %d: parallel eval: %v\n%s", trial, err, prog)
 		}
@@ -210,7 +211,7 @@ func TestCompiledProgramDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: compile(full catalog): %v", trial, err)
 			}
-			got2, err := cp2.Eval(db)
+			got2, err := cp2.Run(context.Background(), db, RunOpts{})
 			if err != nil {
 				t.Fatalf("trial %d: eval(full catalog): %v", trial, err)
 			}

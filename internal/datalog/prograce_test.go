@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestCompiledProgramConcurrentFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.EvalRelation(db, "tc", 1)
+	want, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCompiledProgramConcurrentFrozen(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, _, err := cp.EvalRelation(db, "tc", 1+g%4)
+			got, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{Workers: 1 + g%4})
 			if err != nil {
 				t.Error(err)
 				return
@@ -71,7 +72,7 @@ func TestCompiledProgramConcurrentUnfrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.EvalRelation(db, "tc", 1)
+	want, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestCompiledProgramConcurrentUnfrozen(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, _, err := cp.EvalRelation(db, "tc", 1+g%4)
+			got, _, err := cp.RunRelation(context.Background(), db, "tc", RunOpts{Workers: 1 + g%4})
 			if err != nil {
 				t.Error(err)
 				return

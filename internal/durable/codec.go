@@ -49,7 +49,7 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record is one durable update batch — exactly the ApplyUpdate unit, in
+// Record is one durable update batch — exactly the ApplyUpdateCtx unit, in
 // apply order (deletes before inserts).
 type Record struct {
 	LSN     uint64

@@ -17,7 +17,7 @@
 //     checksummed; the tail may be torn by a crash and is truncated at the
 //     next open. A batch is logged and fsynced after the maintainer
 //     applies it but before it is published to readers, so recovery
-//     (snapshot + replay through Maintainer.ApplyUpdate) reconstructs
+//     (snapshot + replay through Maintainer.ApplyUpdateCtx) reconstructs
 //     exactly the batches whose callers were acknowledged.
 //
 // Open = newest valid snapshot + WAL replay. A snapshot whose view
@@ -283,7 +283,7 @@ func (s *Store) RecoverBaseFacts() (*storage.Database, error) {
 	return db, nil
 }
 
-// Append logs one update batch — the ApplyUpdate unit, deletes applied
+// Append logs one update batch — the ApplyUpdateCtx unit, deletes applied
 // before inserts — and syncs it, returning its LSN. Call it after the
 // maintainer accepted the batch and before publishing to readers. On an
 // IO failure the store wedges (fail-stop): the error is returned now and

@@ -59,7 +59,7 @@ func BenchmarkAnswerCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Answer(q); err != nil {
+		if _, err := answer(e, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,12 +73,12 @@ func BenchmarkAnswerWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Answer(q); err != nil { // prime the cache
+	if _, err := answer(e, q); err != nil { // prime the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Answer(q); err != nil {
+		if _, err := answer(e, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,13 +92,13 @@ func BenchmarkAnswerWarmParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Answer(q); err != nil {
+	if _, err := answer(e, q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := e.Answer(q); err != nil {
+			if _, err := answer(e, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,12 +137,12 @@ func preparedSetup(b *testing.B) (*Engine, []*cq.Query) {
 // per query (one plan compiled for the whole stream).
 func BenchmarkAnswerVaryingConstants(b *testing.B) {
 	e, queries := preparedSetup(b)
-	if _, err := e.Answer(queries[0]); err != nil {
+	if _, err := answer(e, queries[0]); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Answer(queries[i%len(queries)]); err != nil {
+		if _, err := answer(e, queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkPreparedExec(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pq.Exec(fmt.Sprintf("k%d", i%256)); err != nil {
+		if _, err := execute(pq, fmt.Sprintf("k%d", i%256)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestEngineDeleteBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
-	before, err := e.Answer(q)
+	before, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +32,10 @@ func TestEngineDeleteBasics(t *testing.T) {
 	}
 
 	// Deleting r(a,m) starves v(a,x) and vr(a,m).
-	if err := e.Delete("r", storage.Tuple{"a", "m"}); err != nil {
+	if err := update(e, nil, map[string][]storage.Tuple{"r": {storage.Tuple{"a", "m"}}}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Answer(q)
+	after, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func TestEngineDeleteBasics(t *testing.T) {
 
 	// Mixed batch: re-insert r(a,m), delete s(n,y) — the r answer returns,
 	// the s one goes.
-	err = e.ApplyUpdate(
+	err = update(e,
 		map[string][]storage.Tuple{"r": {{"a", "m"}}},
 		map[string][]storage.Tuple{"s": {{"n", "y"}}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := e.Answer(q)
+	final, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestEngineDeleteBasics(t *testing.T) {
 	}
 
 	// Deleting an absent tuple is a no-op, not an error.
-	if err := e.DeleteBatch("r", []storage.Tuple{{"zz", "zz"}}); err != nil {
+	if err := update(e, nil, map[string][]storage.Tuple{"r": []storage.Tuple{{"zz", "zz"}}}); err != nil {
 		t.Fatal(err)
 	}
 	// Deleting from a view extent is rejected.
-	if err := e.Delete("v", storage.Tuple{"a", "x"}); err == nil {
+	if err := update(e, nil, map[string][]storage.Tuple{"v": {storage.Tuple{"a", "x"}}}); err == nil {
 		t.Fatal("delete from view extent accepted")
 	}
 
@@ -88,7 +88,7 @@ func TestEngineDeleteBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := static.Delete("r", storage.Tuple{"a", "m"}); err != ErrNotLive {
+	if err := update(static, nil, map[string][]storage.Tuple{"r": {storage.Tuple{"a", "m"}}}); err != ErrNotLive {
 		t.Fatalf("static delete err = %v, want ErrNotLive", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestEngineUpdateDifferential(t *testing.T) {
 					}
 				}
 			}
-			if err := live.ApplyUpdate(ins, del); err != nil {
+			if err := update(live, ins, del); err != nil {
 				t.Fatalf("trial %d (%s) batch %d: %v", trial, strat, batch, err)
 			}
 			for pred, tuples := range del {
@@ -172,11 +172,11 @@ func TestEngineUpdateDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: rebuild: %v", trial, strat, batch, err)
 			}
-			got, err := live.Answer(q)
+			got, err := answer(live, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: live: %v", trial, strat, batch, err)
 			}
-			want, err := fresh.Answer(q)
+			want, err := answer(fresh, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: fresh: %v", trial, strat, batch, err)
 			}
@@ -256,7 +256,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if ans, err := e.Answer(q); err != nil || matchesState(ans) != 0 {
+		if ans, err := answer(e, q); err != nil || matchesState(ans) != 0 {
 			t.Fatalf("workers=%d: initial answer %v (err %v)", workers, ans, err)
 		}
 		stop := make(chan struct{})
@@ -271,7 +271,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 						return
 					default:
 					}
-					got, err := e.Answer(q)
+					got, err := answer(e, q)
 					if err != nil {
 						t.Errorf("workers=%d reader %d: %v", workers, g, err)
 						return
@@ -286,17 +286,17 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 		// Grow to the full grid, then shrink back down with atomic
 		// delete-pair batches: every intermediate state is a legal grid.
 		for k := 1; k <= nBatches; k++ {
-			err := e.ApplyBatch(map[string][]storage.Tuple{
+			err := update(e, map[string][]storage.Tuple{
 				"r": {{fmt.Sprintf("x%d", k), "k"}},
 				"s": {{"k", fmt.Sprintf("y%d", k)}},
-			})
+			}, nil)
 			if err != nil {
 				t.Errorf("workers=%d grow %d: %v", workers, k, err)
 				break
 			}
 		}
 		for k := nBatches; k >= 1; k-- {
-			err := e.ApplyUpdate(nil, map[string][]storage.Tuple{
+			err := update(e, nil, map[string][]storage.Tuple{
 				"r": {{fmt.Sprintf("x%d", k), "k"}},
 				"s": {{"k", fmt.Sprintf("y%d", k)}},
 			})
@@ -310,7 +310,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 		if t.Failed() {
 			t.FailNow()
 		}
-		final, err := e.Answer(q)
+		final, err := answer(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,11 +418,11 @@ func TestEngineDeleteFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s): rebuild: %v", trial, strat, err)
 			}
-			wantRows, err := fresh.Answer(q)
+			wantRows, err := answer(fresh, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s): rebuilt answer: %v", trial, strat, err)
 			}
-			gotRows, err := live.Answer(q)
+			gotRows, err := answer(live, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s): live answer: %v", trial, strat, err)
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/cq"
+	"repro/internal/datalog"
 	"repro/internal/durable"
 	"repro/internal/ivm"
 	"repro/internal/storage"
@@ -178,7 +180,7 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 			opt.snapCatalog = cat
 			replayStart := time.Now()
 			n, err := store.Replay(func(rec durable.Record) error {
-				_, err := m.ApplyUpdate(rec.Inserts, rec.Deletes)
+				_, err := m.ApplyUpdateCtx(context.Background(), rec.Inserts, rec.Deletes, datalog.Limits{})
 				return err
 			})
 			if err != nil {

@@ -27,7 +27,7 @@ func durOpts(dir string) Options {
 
 func mustAnswer(t *testing.T, e *Engine, q *cq.Query) []storage.Tuple {
 	t.Helper()
-	rows, err := e.Answer(q)
+	rows, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestDurableRecoveryAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyUpdate(map[string][]storage.Tuple{"s": {{"n", "z"}}}, map[string][]storage.Tuple{"r": {{"a", "m"}}}); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"s": {{"n", "z"}}}, map[string][]storage.Tuple{"r": {{"a", "m"}}}); err != nil {
 		t.Fatal(err)
 	}
 	want := mustAnswer(t, e, q)
@@ -74,7 +74,7 @@ func TestDurableRecoveryAfterClose(t *testing.T) {
 	}
 	// Mutations keep working after recovery, and the LSN keeps rising from
 	// the snapshot's position.
-	if err := re.ApplyUpdate(map[string][]storage.Tuple{"r": {{"d", "n"}}}, nil); err != nil {
+	if err := update(re, map[string][]storage.Tuple{"r": {{"d", "n"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := re.Stats().Durable.LSN; got != 3 {
@@ -100,7 +100,7 @@ func TestDurableCrashRecoveryReplaysWAL(t *testing.T) {
 		{ins: map[string][]storage.Tuple{"s": {{"n", "w"}}}, del: map[string][]storage.Tuple{"r": {{"b", "n"}}}},
 	}
 	for _, b := range batches {
-		if err := e.ApplyUpdate(b.ins, b.del); err != nil {
+		if err := update(e, b.ins, b.del); err != nil {
 			t.Fatal(err)
 		}
 		for pred, tuples := range b.del {
@@ -171,7 +171,7 @@ func TestDurableCrashDifferential(t *testing.T) {
 					ins[pred] = append(ins[pred], tup)
 				}
 			}
-			if err := e.ApplyUpdate(ins, del); err != nil {
+			if err := update(e, ins, del); err != nil {
 				t.Fatalf("trial %d batch %d: %v", trial, b, err)
 			}
 			// Acknowledged: the recovered engine must reflect it.
@@ -213,7 +213,7 @@ func TestDurableStaleFingerprintRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -272,7 +272,7 @@ func TestDurableFailStop(t *testing.T) {
 	if err := e.dur.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	uerr := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"zz", "zz"}}}, nil)
+	uerr := update(e, map[string][]storage.Tuple{"r": {{"zz", "zz"}}}, nil)
 	if !errors.Is(uerr, ErrDurability) {
 		t.Fatalf("update after WAL failure returned %v, want ErrDurability", uerr)
 	}
@@ -295,7 +295,7 @@ func TestDurableCheckpointThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -319,7 +319,7 @@ func TestDurableExplicitCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"r": {{"c", "m"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {

@@ -16,12 +16,13 @@
 // (single-flight), and containment checks performed while planning are
 // memoised across queries through a shared containment.Memo.
 //
-// Prepare returns the template's PreparedQuery handle; Exec(args...) runs
-// the cached plan under a fresh binding. Answer is a thin prepare-once-exec
-// wrapper, so plain callers get template caching for free.
+// Prepare returns the template's PreparedQuery handle; ExecBudget(ctx, b,
+// args...) runs the cached plan under a fresh binding. AnswerBudget is
+// Prepare followed by ExecBudget, so plain callers get template caching
+// for free.
 //
 // The expensive work — the exponential rewriting search — therefore runs at
-// most once per distinct query *shape*; the steady-state cost of Answer is
+// most once per distinct query *shape*; the steady-state cost of a query is
 // one template-cache hit plus the evaluation of the cached plan.
 //
 // Strategy selection can be cost-driven: under the Auto strategy the engine
@@ -33,10 +34,8 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,11 +55,6 @@ import (
 // ErrNotLive reports a mutation on an engine built without
 // Options.LiveUpdates.
 var ErrNotLive = errors.New("engine: built without Options.LiveUpdates; base facts are frozen")
-
-// errParamsNotCompiled guards the uncompiled-payload fallbacks: a
-// parameterized plan's logical payload is in planning form (placeholder
-// columns in the head) and cannot be evaluated directly.
-var errParamsNotCompiled = errors.New("engine: parameterized plan has no compiled form; its logical payload is in planning form and cannot be evaluated directly")
 
 // Strategy selects the rewriting algorithm an Engine plans with.
 type Strategy string
@@ -134,27 +128,20 @@ type Options struct {
 	// KeepComparisons re-asserts the query's comparison predicates on
 	// rewritings when their terms are exposed.
 	KeepComparisons bool
-	// BatchWorkers bounds AnswerBatch concurrency; default GOMAXPROCS.
-	BatchWorkers int
 	// EvalWorkers is the number of goroutines a single evaluation fans
-	// its outermost join loop across (CompiledPlan.EvalParallel).
-	// 0 or 1 evaluates sequentially — the default, since request-level
-	// concurrency (AnswerBatch, many callers) usually saturates the
-	// cores already; set it explicitly (e.g. to GOMAXPROCS) when single
-	// large queries should use idle cores.
+	// its outermost join loop (or a fixpoint round) across
+	// (datalog.RunOpts.Workers). 0 or 1 evaluates sequentially — the
+	// default, since request-level concurrency usually saturates the cores
+	// already; set it explicitly (e.g. to GOMAXPROCS) when single large
+	// queries should use idle cores.
 	EvalWorkers int
-	// LiveUpdates enables the mutation path: Insert/InsertBatch/ApplyBatch
-	// apply base facts and delta-maintain every view extent instead of the
-	// database being frozen forever at construction. Requires NewFromBase
-	// (the engine must see the base relations to maintain extents).
-	// Cached plans survive updates — rewritings depend only on the view
-	// definitions, never on extent contents.
+	// LiveUpdates enables the mutation path: ApplyUpdateBudget applies
+	// base-fact inserts and deletions and delta-maintains every view extent
+	// instead of the database being frozen forever at construction.
+	// Requires NewFromBase (the engine must see the base relations to
+	// maintain extents). Cached plans survive updates — rewritings depend
+	// only on the view definitions, never on extent contents.
 	LiveUpdates bool
-	// Budget is the default per-request resource budget (deadline, result
-	// rows, derived tuples, fixpoint rounds) applied to every Answer, Exec
-	// and ApplyBatch. The zero value means unlimited; the *Budget entry
-	// points override it per call.
-	Budget Budget
 	// MaxConcurrent caps concurrently executing requests (admission
 	// control): queries weigh 1, update batches 2. Excess requests wait in
 	// a bounded FIFO queue and are shed with ErrOverloaded when it fills.
@@ -303,7 +290,7 @@ type StrategyStats struct {
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
-	// Hits counts Answer/Plan calls served from the plan cache.
+	// Hits counts Prepare calls served from the plan cache.
 	Hits uint64
 	// Misses counts calls that ran the rewriting search.
 	Misses uint64
@@ -321,7 +308,7 @@ type Stats struct {
 	// plans (paid once per cache miss, amortised across hits).
 	CompileTime time.Duration
 	// ExecCount/ExecTime report plan executions: the steady-state cost of
-	// Answer once the plan cache is warm.
+	// a query once the plan cache is warm.
 	ExecCount uint64
 	ExecTime  time.Duration
 	// FixpointRuns counts compiled semi-naive fixpoint evaluations
@@ -360,10 +347,10 @@ type Stats struct {
 // Engine answers conjunctive queries over materialised views. It is safe
 // for concurrent use. Without Options.LiveUpdates the database it serves
 // from is frozen (indexed) at construction and must not be mutated
-// afterwards; with LiveUpdates, Insert/InsertBatch/ApplyBatch apply base
-// facts, Delete/DeleteBatch retract them, and ApplyUpdate applies a mixed
-// batch — every extent is incrementally maintained (counting or DRed on
-// the delete side) while answers keep flowing.
+// afterwards; with LiveUpdates, ApplyUpdateBudget applies mixed batches of
+// base-fact inserts and deletions — every extent is incrementally
+// maintained (counting or DRed on the delete side) while answers keep
+// flowing.
 type Engine struct {
 	views    *core.ViewSet
 	viewDefs []*cq.Query
@@ -610,8 +597,8 @@ func (e *Engine) Views() *core.ViewSet { return e.views }
 
 // Database returns the database the engine evaluates over. For a live
 // engine this is the currently active serving snapshot: do not mutate it,
-// and do not read it concurrently with ApplyBatch — use Answer, which
-// locks a snapshot, for concurrent reads.
+// and do not read it concurrently with ApplyUpdateBudget — use
+// AnswerBudget, which locks a snapshot, for concurrent reads.
 func (e *Engine) Database() *storage.Database {
 	if e.live != nil {
 		return e.live.sides[e.live.active.Load()]
@@ -631,52 +618,6 @@ func (e *Engine) snapshot() (*storage.Database, func()) {
 	i := e.live.active.Load()
 	e.live.locks[i].RLock()
 	return e.live.sides[i], e.live.locks[i].RUnlock
-}
-
-// Insert applies one base fact, delta-maintaining every extent.
-func (e *Engine) Insert(pred string, t storage.Tuple) error {
-	return e.ApplyBatch(map[string][]storage.Tuple{pred: {t}})
-}
-
-// InsertBatch applies a batch of base facts under one predicate,
-// delta-maintaining every extent in a single propagation.
-func (e *Engine) InsertBatch(pred string, tuples []storage.Tuple) error {
-	return e.ApplyBatch(map[string][]storage.Tuple{pred: tuples})
-}
-
-// ApplyBatch applies base-fact inserts across any number of predicates and
-// delta-maintains every view extent — one semi-naive propagation per batch
-// instead of a full re-materialization. Batches from concurrent callers
-// are serialized; answers keep flowing from the active serving snapshot
-// throughout, and every cached plan stays valid (rewritings depend only on
-// the view definitions). Inserting into a view predicate is an error, as
-// is calling this on an engine built without Options.LiveUpdates.
-func (e *Engine) ApplyBatch(updates map[string][]storage.Tuple) error {
-	return e.ApplyBatchCtx(context.Background(), updates)
-}
-
-// Delete retracts one base fact, retracting every extent tuple that loses
-// its last derivation (counting for flat view sets, DRed for recursive
-// programs — see internal/datalog's ApplyUpdates).
-func (e *Engine) Delete(pred string, t storage.Tuple) error {
-	return e.ApplyUpdate(nil, map[string][]storage.Tuple{pred: {t}})
-}
-
-// DeleteBatch retracts a batch of base facts under one predicate in a
-// single propagation.
-func (e *Engine) DeleteBatch(pred string, tuples []storage.Tuple) error {
-	return e.ApplyUpdate(nil, map[string][]storage.Tuple{pred: tuples})
-}
-
-// ApplyUpdate applies a mixed batch — deletions then insertions, any
-// number of predicates each — as one atomic, undo-logged unit: either
-// every retraction and every insertion lands, left-right published to
-// both serving sides, or none do. Deleting from (or inserting into) a
-// view predicate is an error, as is calling this on an engine built
-// without Options.LiveUpdates. Deleting a tuple that is not present is a
-// no-op, not an error.
-func (e *Engine) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) error {
-	return e.ApplyUpdateCtx(context.Background(), inserts, deletes)
 }
 
 // applySide applies one batch's removals and deltas to serving side i
@@ -745,8 +686,8 @@ func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
 
 // PreparedQuery is the reusable handle Prepare returns: a cached plan for
 // the query's template plus the binding extracted from the query text.
-// Exec runs the plan under any binding, so a point-lookup stream varying
-// only in constants prepares once and executes per request. A
+// ExecBudget runs the plan under any binding, so a point-lookup stream
+// varying only in constants prepares once and executes per request. A
 // PreparedQuery is immutable and safe for concurrent use; it stays valid
 // for the engine's lifetime (the underlying plan may be evicted from the
 // cache and re-built for other callers, but this handle keeps its own).
@@ -759,22 +700,14 @@ type PreparedQuery struct {
 // Plan returns the cached template plan behind the handle.
 func (pq *PreparedQuery) Plan() *Plan { return pq.plan }
 
-// NumParams returns the number of execution arguments Exec expects.
+// NumParams returns the number of execution arguments ExecBudget expects.
 func (pq *PreparedQuery) NumParams() int { return len(pq.plan.Params) }
 
 // Args returns the binding extracted from the prepared query's own
-// constants, in parameter order — the arguments under which Exec
-// reproduces Answer of the original query.
+// constants, in parameter order — the arguments under which ExecBudget
+// reproduces AnswerBudget of the original query.
 func (pq *PreparedQuery) Args() []string {
 	return append([]string(nil), pq.args...)
-}
-
-// Exec evaluates the prepared plan under the given argument binding and
-// returns the answer tuples in sorted order. It must receive exactly
-// NumParams arguments; a mismatch returns an error matching
-// ErrArityMismatch.
-func (pq *PreparedQuery) Exec(args ...string) ([]storage.Tuple, error) {
-	return pq.ExecBudget(context.Background(), pq.eng.opt.Budget, args...)
 }
 
 // Prepare canonicalises q to its template — constants abstracted to
@@ -854,86 +787,14 @@ func (e *Engine) template(q *cq.Query) *cq.Template {
 }
 
 // Plan returns the cached template plan for q, building it on first use.
-// Queries with constants yield parameterized plans; evaluate those through
-// Prepare/Exec (Eval rejects them, since the binding is not part of the
-// plan).
+// Queries with constants yield parameterized plans, whose binding is not
+// part of the plan; execute through Prepare/ExecBudget.
 func (e *Engine) Plan(q *cq.Query) (*Plan, error) {
 	pq, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
 	return pq.plan, nil
-}
-
-// Answer plans q (through the template cache) and evaluates the plan over
-// the engine's database under q's own constants, returning the answer
-// tuples in sorted order. It is exactly Prepare followed by Exec with the
-// extracted binding.
-func (e *Engine) Answer(q *cq.Query) ([]storage.Tuple, error) {
-	pq, err := e.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.exec(pq.plan, pq.args)
-}
-
-// AnswerBatch answers a batch of queries concurrently, preserving input
-// order in the result slice. Identical (α-equivalent) queries in one batch
-// coalesce into a single rewriting search. The returned error joins all
-// per-query failures; results of failed queries are nil.
-func (e *Engine) AnswerBatch(qs []*cq.Query) ([][]storage.Tuple, error) {
-	results := make([][]storage.Tuple, len(qs))
-	if len(qs) == 0 {
-		return results, nil
-	}
-	errs := make([]error, len(qs))
-	workers := e.opt.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = e.Answer(qs[i])
-				if errs[i] != nil {
-					errs[i] = fmt.Errorf("query %d (%s): %w", i, qs[i].Head.Pred, errs[i])
-				}
-			}
-		}()
-	}
-	for i := range qs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return results, errors.Join(errs...)
-}
-
-// Eval evaluates a parameterless plan over the engine's database; it
-// rejects parameterized plans, whose binding is not part of the plan — use
-// Prepare/Exec for those. Rewriting plans run through their compiled
-// physical form, and inverse-rules plans through the compiled semi-naive
-// fixpoint, with the configured EvalWorkers fan-out. Any number of
-// evaluations may run concurrently: the database is frozen at
-// construction, and on a live engine each evaluation pins one serving
-// snapshot, so it sees either the pre- or post-state of any concurrent
-// update batch, never a torn mix. Answers are sorted for deterministic
-// output.
-func (e *Engine) Eval(p *Plan) ([]storage.Tuple, error) {
-	return e.EvalCtx(context.Background(), p)
-}
-
-// exec evaluates a plan under an argument binding over a pinned serving
-// snapshot with the engine-wide budget, recording execution counters.
-func (e *Engine) exec(p *Plan, args []string) ([]storage.Tuple, error) {
-	return e.execBudget(context.Background(), p, args, e.opt.Budget)
 }
 
 // selectParams filters answer-relation tuples of arity+len(args) columns

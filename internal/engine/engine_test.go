@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -56,7 +55,7 @@ func TestAnswerMatchesDirectEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		got, err := e.Answer(q)
+		got, err := answer(e, q)
 		if err != nil {
 			t.Fatalf("%s: Answer: %v", strat, err)
 		}
@@ -74,11 +73,11 @@ func TestPlanCacheSharedAcrossAlphaVariants(t *testing.T) {
 	}
 	q1 := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	q2 := cq.MustParseQuery("q(A,B) :- s(C,B), r(A,C)") // α-variant, reordered
-	a1, err := e.Answer(q1)
+	a1, err := answer(e, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := e.Answer(q2)
+	a2, err := answer(e, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := e.Answer(q); err != nil {
+			if _, err := answer(e, q); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -148,7 +147,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	}
 	want := make([][]storage.Tuple, len(queries))
 	for i, q := range queries {
-		w, err := e.Answer(q)
+		w, err := answer(e, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -161,7 +160,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				k := (g + i) % len(queries)
-				got, err := e.Answer(queries[k])
+				got, err := answer(e, queries[k])
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -192,7 +191,7 @@ func TestCacheEviction(t *testing.T) {
 		cq.MustParseQuery("q3(X) :- t(X)"),
 	}
 	for _, q := range qs {
-		if _, err := e.Answer(q); err != nil {
+		if _, err := answer(e, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +200,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("evictions=%d cacheLen=%d, want 1 and 2", st.Evictions, st.CacheLen)
 	}
 	// q1 was the least recently used: answering it again must re-plan.
-	if _, err := e.Answer(qs[0]); err != nil {
+	if _, err := answer(e, qs[0]); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -209,7 +208,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("misses = %d, want 4 (q1 evicted and re-planned)", st.Misses)
 	}
 	// q3 is still cached.
-	if _, err := e.Answer(qs[2]); err != nil {
+	if _, err := answer(e, qs[2]); err != nil {
 		t.Fatal(err)
 	}
 	if st = e.Stats(); st.Hits != 1 {
@@ -217,9 +216,11 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestAnswerBatch(t *testing.T) {
+// TestAnswerConcurrent answers a batch of queries from concurrent callers:
+// α-equivalent members agree, and coalesce into one plan per template.
+func TestAnswerConcurrent(t *testing.T) {
 	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{BatchWorkers: 4})
+	e, err := NewFromBase(base, views, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +230,21 @@ func TestAnswerBatch(t *testing.T) {
 		cq.MustParseQuery("q2(X,Y) :- r(X,Y)"),
 		cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"),
 	}
-	results, err := e.AnswerBatch(qs)
-	if err != nil {
-		t.Fatal(err)
+	results := make([][]storage.Tuple, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = answer(e, q)
+		}()
 	}
-	if len(results) != len(qs) {
-		t.Fatalf("got %d results", len(results))
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
 	}
 	if !storage.TuplesEqual(results[0], results[1]) || !storage.TuplesEqual(results[0], results[3]) {
 		t.Fatal("α-equivalent batch members disagree")
@@ -245,26 +255,6 @@ func TestAnswerBatch(t *testing.T) {
 	}
 	if st := e.Stats(); st.Misses != 2 {
 		t.Fatalf("misses = %d, want 2 distinct plans", st.Misses)
-	}
-}
-
-func TestAnswerBatchPartialFailure(t *testing.T) {
-	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &cq.Query{Head: cq.NewAtom("q", cq.Var("X"))} // empty body: invalid
-	qs := []*cq.Query{
-		cq.MustParseQuery("q2(X,Y) :- r(X,Y)"),
-		bad,
-	}
-	results, err := e.AnswerBatch(qs)
-	if err == nil || !strings.Contains(err.Error(), "query 1") {
-		t.Fatalf("err = %v, want failure naming query 1", err)
-	}
-	if results[0] == nil || results[1] != nil {
-		t.Fatalf("results = %v, want good answer and nil", results)
 	}
 }
 
@@ -284,14 +274,14 @@ func TestEquivalentFirstFallsBackToMiniCon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.Plan(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	pq, err := e.Prepare(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != PlanMaxContained {
+	if p := pq.Plan(); p.Kind != PlanMaxContained {
 		t.Fatalf("plan kind = %v, want max-contained fallback", p.Kind)
 	}
-	ans, err := e.Eval(p)
+	ans, err := execute(pq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +289,7 @@ func TestEquivalentFirstFallsBackToMiniCon(t *testing.T) {
 		t.Fatalf("answers = %v, want none", ans)
 	}
 	// The (empty) plan is cached: asking again is a hit, not a re-search.
-	if _, err := e.Answer(cq.MustParseQuery("q(U,V) :- r(U,W), s(W,V)")); err != nil {
+	if _, err := answer(e, cq.MustParseQuery("q(U,V) :- r(U,W), s(W,V)")); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Hits != 1 {
@@ -316,7 +306,7 @@ func TestInverseRulesServesExtentsOnly(t *testing.T) {
 	if rel := e.Database().Relation("r"); rel != nil {
 		t.Fatal("inverse-rules engine must not hold base relations")
 	}
-	got, err := e.Answer(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	got, err := answer(e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +330,7 @@ func TestEngineErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &cq.Query{Head: cq.NewAtom("q", cq.Var("X"))}
-	if _, err := e.Answer(bad); err == nil {
+	if _, err := answer(e, bad); err == nil {
 		t.Fatal("invalid query accepted")
 	}
 	if _, err := ParseStrategy("equivalent"); err != nil {
@@ -378,7 +368,7 @@ func TestCompiledPlansInCache(t *testing.T) {
 					t.Fatalf("%s: %d compiled members for %d-member union", strat, len(p.CompiledUnion), p.Union.Len())
 				}
 			}
-			got, err := e.Answer(q)
+			got, err := answer(e, q)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", strat, workers, err)
 			}
@@ -410,7 +400,7 @@ func TestCompiledProgramInCache(t *testing.T) {
 	if p.Kind != PlanInverseProgram || p.CompiledProgram == nil {
 		t.Fatalf("plan kind=%v compiled program=%v", p.Kind, p.CompiledProgram)
 	}
-	got, err := e.Answer(q)
+	got, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +445,7 @@ func TestConcurrentInverseRulesRace(t *testing.T) {
 	}
 	wants := make([][]storage.Tuple, len(queries))
 	for i, q := range queries {
-		if wants[i], err = e.Answer(q); err != nil {
+		if wants[i], err = answer(e, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -466,7 +456,7 @@ func TestConcurrentInverseRulesRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := (g + i) % len(queries)
-				got, err := e.Answer(queries[k])
+				got, err := answer(e, queries[k])
 				if err != nil {
 					t.Error(err)
 					return

@@ -83,7 +83,7 @@ func TestErrorCodeLiveEngine(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err = e.AnswerCtx(ctx, q)
+		_, err = e.AnswerBudget(ctx, q, Budget{})
 		if code := ErrorCode(err); code != CodeCanceled {
 			t.Fatalf("pre-canceled context: code %q (err %v), want %q", code, err, CodeCanceled)
 		}
@@ -97,7 +97,7 @@ func TestErrorCodeLiveEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = pq.Exec("x", "y", "z")
+		_, err = execute(pq, "x", "y", "z")
 		if code := ErrorCode(err); code != CodeArityMismatch {
 			t.Fatalf("bad arity: code %q (err %v), want %q", code, err, CodeArityMismatch)
 		}
@@ -107,7 +107,7 @@ func TestErrorCodeLiveEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = e.Insert("r", storage.Tuple{"x", "y"})
+		err = update(e, map[string][]storage.Tuple{"r": {storage.Tuple{"x", "y"}}}, nil)
 		if code := ErrorCode(err); code != CodeNotLive {
 			t.Fatalf("frozen insert: code %q (err %v), want %q", code, err, CodeNotLive)
 		}
@@ -134,7 +134,7 @@ func TestRetryHintFloor(t *testing.T) {
 	// Warm the engine with fast executions: the observed average is far
 	// below MinRetryAfter, so the floor must hold it up.
 	for i := 0; i < 20; i++ {
-		if _, err := e.Answer(cq.MustParseQuery("q(X,Y) :- r(X,Y)")); err != nil {
+		if _, err := answer(e, cq.MustParseQuery("q(X,Y) :- r(X,Y)")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestShedRetryAfterFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.admit.release(1)
-	_, err = e.Answer(cq.MustParseQuery("q(X,Y) :- r(X,Y)"))
+	_, err = answer(e, cq.MustParseQuery("q(X,Y) :- r(X,Y)"))
 	var oe *OverloadedError
 	if !errors.As(err, &oe) {
 		t.Fatalf("saturated engine returned %v, want OverloadedError", err)

@@ -80,7 +80,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 				}
 			case 3: // no fault — the batch commits
 			}
-			err := live.ApplyBatchBudget(ctx, upd, b)
+			err := live.ApplyUpdateBudget(ctx, upd, nil, b)
 			if cancel != nil {
 				cancel()
 			}
@@ -104,7 +104,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s): rebuild: %v", trial, strat, err)
 			}
-			wantRows, err := want.Answer(q)
+			wantRows, err := answer(want, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s): rebuilt answer: %v", trial, strat, err)
 			}
@@ -119,7 +119,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 				}
 				// Canceled query: retry unbudgeted — the engine must still
 				// serve the exact committed state.
-				gotRows, err = live.Answer(q)
+				gotRows, err = answer(live, q)
 				if err != nil {
 					t.Fatalf("trial %d (%s): post-cancel retry: %v", trial, strat, err)
 				}

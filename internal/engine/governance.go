@@ -3,7 +3,7 @@ package engine
 // Resource governance at the serving boundary. Three mechanisms compose
 // here, all opt-in and all zero-cost when disabled:
 //
-//   - Budgets (Budget, Options.Budget, the *Budget entry points) bound one
+//   - Budgets (Budget, passed to every entry point per call) bound one
 //     request: a wall-clock deadline plus caps on result rows, derived
 //     tuples and fixpoint rounds, enforced inside the compiled executors by
 //     amortized guards (datalog.Limits). A tripped budget returns a typed
@@ -57,8 +57,8 @@ var ErrOverloaded = errors.New("engine: overloaded")
 var ErrInternal = errors.New("engine: internal error")
 
 // ErrArityMismatch reports a caller-supplied arity error at the serving
-// boundary: a prepared query executed with the wrong number of arguments,
-// or a parameterized plan passed to Eval. Match with errors.Is.
+// boundary: a prepared query executed with the wrong number of arguments.
+// Match with errors.Is.
 var ErrArityMismatch = errors.New("engine: arity mismatch")
 
 // ErrDurability reports a durable-storage write failure. The store is
@@ -118,8 +118,8 @@ func (e *QueryError) Error() string { return e.Err.Error() }
 func (e *QueryError) Unwrap() error { return e.Err }
 
 // Budget bounds one request. The zero value means unlimited; any subset of
-// fields may be set. Options.Budget applies a default budget to every
-// request; the *Budget entry points override it per call.
+// fields may be set. Every entry point (AnswerBudget, ExecBudget,
+// ApplyUpdateBudget) takes one per call.
 type Budget struct {
 	// Deadline bounds the request's wall-clock time. The request's context
 	// is given a timeout of this duration; evaluation observes expiry
@@ -378,9 +378,8 @@ const (
 	// CodeInternal: an evaluation panicked and was converted to an error at
 	// the engine boundary (ErrInternal).
 	CodeInternal = "internal"
-	// CodeArityMismatch: wrong Exec argument count, parameterized plan in
-	// Eval, or a tuple of the wrong width (ErrArityMismatch,
-	// storage.ArityError).
+	// CodeArityMismatch: wrong ExecBudget argument count, or a tuple of the
+	// wrong width (ErrArityMismatch, storage.ArityError).
 	CodeArityMismatch = "arity_mismatch"
 	// CodeNotLive: a mutation on an engine built without
 	// Options.LiveUpdates (ErrNotLive).
@@ -431,17 +430,12 @@ func (e *Engine) recoverInternal(err *error) {
 	}
 }
 
-// ---- Context- and budget-aware entry points ----
+// ---- The entry points ----
 
-// AnswerCtx is Answer under a context: evaluation observes cancellation
-// within one guard interval and returns ErrCanceled. The engine-wide
-// Options.Budget applies.
-func (e *Engine) AnswerCtx(ctx context.Context, q *cq.Query) ([]storage.Tuple, error) {
-	return e.AnswerBudget(ctx, q, e.opt.Budget)
-}
-
-// AnswerBudget is Answer under a context and an explicit per-call budget
-// overriding Options.Budget.
+// AnswerBudget plans q through the template cache and evaluates the plan
+// over the engine's database under q's own constants and the given
+// budget, returning the answer tuples in sorted order. It is exactly
+// Prepare followed by ExecBudget with the extracted binding.
 func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) ([]storage.Tuple, error) {
 	pq, err := e.Prepare(q)
 	if err != nil {
@@ -450,12 +444,12 @@ func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) ([]sto
 	return e.execBudget(ctx, pq.plan, pq.args, b)
 }
 
-// ExecCtx is Exec under a context; the engine-wide Options.Budget applies.
-func (pq *PreparedQuery) ExecCtx(ctx context.Context, args ...string) ([]storage.Tuple, error) {
-	return pq.ExecBudget(ctx, pq.eng.opt.Budget, args...)
-}
-
-// ExecBudget is Exec under a context and an explicit per-call budget.
+// ExecBudget evaluates the prepared plan under the given argument binding
+// and budget, returning the answer tuples in sorted order. It must receive
+// exactly NumParams arguments; a mismatch returns an error matching
+// ErrArityMismatch. Evaluation observes ctx within one guard interval
+// (~1k candidate rows) or one fixpoint round and returns ErrCanceled; a
+// zero budget under context.Background() runs the unguarded fast path.
 func (pq *PreparedQuery) ExecBudget(ctx context.Context, b Budget, args ...string) ([]storage.Tuple, error) {
 	if len(args) != len(pq.plan.Params) {
 		return nil, fmt.Errorf("engine: prepared query takes %d argument(s), got %d: %w",
@@ -464,16 +458,7 @@ func (pq *PreparedQuery) ExecBudget(ctx context.Context, b Budget, args ...strin
 	return pq.eng.execBudget(ctx, pq.plan, args, b)
 }
 
-// EvalCtx is Eval under a context; the engine-wide Options.Budget applies.
-func (e *Engine) EvalCtx(ctx context.Context, p *Plan) ([]storage.Tuple, error) {
-	if len(p.Params) > 0 {
-		return nil, fmt.Errorf("engine: plan takes %d parameter(s); execute it through Prepare/Exec: %w",
-			len(p.Params), ErrArityMismatch)
-	}
-	return e.execBudget(ctx, p, nil, e.opt.Budget)
-}
-
-// execBudget is the single execution path every query entry point funnels
+// execBudget is the single execution path both query entry points funnel
 // through: panic isolation, admission, deadline attachment, snapshot pin,
 // budget-guarded evaluation, counters. With a background context, a zero
 // budget and admission disabled it reduces to the ungoverned fast path —
@@ -493,7 +478,7 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, b Budge
 	if release != nil {
 		defer release()
 	}
-	answers, err = e.evalPlanCtx(ctx, db, p, args, b.limits())
+	answers, err = e.evalPlan(ctx, db, p, args, b.limits())
 	if err != nil {
 		return nil, err
 	}
@@ -502,35 +487,25 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, b Budge
 	return answers, nil
 }
 
-// ApplyBatchCtx is ApplyBatch under a context: the propagation observes
-// cancellation within one guard interval or round barrier, and a canceled
-// batch is atomic — the maintainer rolls its database back and neither
-// serving side is touched, so the engine keeps answering from the exact
-// pre-batch state and the batch can simply be retried. The engine-wide
-// Options.Budget applies (deadline, MaxDerivedTuples, MaxFixpointRounds;
-// MaxResultRows does not apply to updates).
-func (e *Engine) ApplyBatchCtx(ctx context.Context, updates map[string][]storage.Tuple) error {
-	return e.ApplyUpdateBudget(ctx, updates, nil, e.opt.Budget)
-}
-
-// ApplyBatchBudget is ApplyBatch under a context and an explicit per-call
-// budget, with the same atomicity guarantee as ApplyBatchCtx.
-func (e *Engine) ApplyBatchBudget(ctx context.Context, updates map[string][]storage.Tuple, b Budget) error {
-	return e.ApplyUpdateBudget(ctx, updates, nil, b)
-}
-
-// ApplyUpdateCtx is ApplyUpdate under a context, with the same atomicity
-// guarantee as ApplyBatchCtx: a canceled or budget-tripped batch — even
-// one caught mid-retraction — rolls the maintainer back and never touches
-// the serving sides. The engine-wide Options.Budget applies.
-func (e *Engine) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple) error {
-	return e.ApplyUpdateBudget(ctx, inserts, deletes, e.opt.Budget)
-}
-
-// ApplyUpdateBudget is the mixed-batch execution path every mutation entry
-// point funnels through: panic isolation, admission (updates weigh 2),
-// deadline attachment, the maintainer's atomic propagation, and the
-// left-right publish of removals and deltas.
+// ApplyUpdateBudget applies a mixed batch — deletions then insertions,
+// any number of predicates each — and delta-maintains every view extent
+// (counting for flat view sets, DRed for recursive programs): one
+// propagation per batch instead of a full re-materialization. It runs
+// panic isolation, admission (updates weigh 2), deadline attachment, the
+// maintainer's atomic propagation, and the left-right publish of removals
+// and deltas. Batches from concurrent callers are serialized; answers keep
+// flowing from the active serving snapshot throughout, and every cached
+// plan stays valid (rewritings depend only on the view definitions).
+//
+// The batch is atomic: either every retraction and insertion lands on both
+// serving sides, or none do. A canceled or budget-tripped batch — even one
+// caught mid-retraction — rolls the maintainer back and never touches the
+// serving sides, so the engine keeps answering from the exact pre-batch
+// state and the batch can simply be retried. The budget's deadline,
+// MaxDerivedTuples and MaxFixpointRounds apply (MaxResultRows does not).
+// Deleting absent tuples is a no-op; inserting into or deleting from a
+// view predicate is an error, as is calling this on an engine built
+// without Options.LiveUpdates (ErrNotLive).
 func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[string][]storage.Tuple, b Budget) (err error) {
 	if e.live == nil {
 		return ErrNotLive
@@ -693,36 +668,23 @@ func (e *Engine) publish(res *ivm.BatchResult) error {
 	return nil
 }
 
-// evalPlanCtx is evalPlan under a context and limits: the compiled
-// executors run with amortized cancellation guards, budget trips surface as
-// typed errors, and fixpoint failures carry their partial-progress stats in
-// a QueryError. With a never-firing context and zero limits the guards are
-// nil and the evaluation is bit-for-bit the ungoverned one.
-func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan, args []string, lim datalog.Limits) ([]storage.Tuple, error) {
-	workers := e.opt.EvalWorkers
-	if workers <= 0 {
-		workers = 1
-	}
+// evalPlan evaluates a cached plan's compiled form under an argument
+// binding, a context and limits: the compiled executors run with amortized
+// cancellation guards, budget trips surface as typed errors, and fixpoint
+// failures carry their partial-progress stats in a QueryError. With a
+// never-firing context and zero limits the guards are nil and the
+// evaluation is bit-for-bit the ungoverned one.
+func (e *Engine) evalPlan(ctx context.Context, db *storage.Database, p *Plan, args []string, lim datalog.Limits) ([]storage.Tuple, error) {
+	opts := datalog.RunOpts{Args: args, Workers: e.opt.EvalWorkers, Limits: lim}
 	switch p.Kind {
 	case PlanEquivalent:
-		if p.Compiled == nil { // plan built outside the engine
-			if len(p.Params) > 0 {
-				return nil, errParamsNotCompiled
-			}
-			return datalog.EvalQuery(db, p.Rewriting.Query), nil
-		}
-		return p.Compiled.EvalParallelCtx(ctx, db, args, workers, lim)
+		return p.Compiled.Run(ctx, db, opts)
 	case PlanMaxContained:
-		if p.CompiledUnion == nil {
-			if len(p.Params) > 0 {
-				return nil, errParamsNotCompiled
-			}
-			return datalog.EvalUnion(db, p.Union), nil
-		}
 		var out []storage.Tuple
 		seen := make(map[string]bool)
+		opts.Unsorted = true
 		for _, cp := range p.CompiledUnion {
-			tuples, err := cp.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
+			tuples, err := cp.Run(ctx, db, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -741,24 +703,12 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 		}
 		return storage.SortTuples(out), nil
 	case PlanInverseProgram:
-		var derived []storage.Tuple
-		if p.CompiledProgram != nil {
-			tuples, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
-			e.fixpointRuns.Add(1)
-			e.fixpointIters.Add(uint64(fst.Iterations))
-			e.fixpointDrvd.Add(uint64(fst.Derived))
-			if err != nil {
-				return nil, &QueryError{Err: err, Stats: fst}
-			}
-			derived = tuples
-		} else { // plan built outside the engine
-			out, err := p.Program.Eval(db)
-			if err != nil {
-				return nil, err
-			}
-			if rel := out.Relation(p.AnswerPred); rel != nil {
-				derived = rel.Tuples()
-			}
+		derived, fst, err := p.CompiledProgram.RunRelation(ctx, db, p.AnswerPred, opts)
+		e.fixpointRuns.Add(1)
+		e.fixpointIters.Add(uint64(fst.Iterations))
+		e.fixpointDrvd.Add(uint64(fst.Derived))
+		if err != nil {
+			return nil, &QueryError{Err: err, Stats: fst}
 		}
 		// A parameterized program derives the answer relation with the
 		// placeholder columns appended to the head: select the rows

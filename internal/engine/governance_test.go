@@ -66,7 +66,7 @@ func TestAnswerBudgetDeadline(t *testing.T) {
 		t.Logf("partial stats: %d iterations, %d derived", qe.Stats.Iterations, qe.Stats.Derived)
 	}
 	// Serviceable after: the same query without a deadline completes.
-	got, err := e.Answer(q)
+	got, err := answer(e, q)
 	if err != nil {
 		t.Fatalf("engine not serviceable after canceled query: %v", err)
 	}
@@ -116,20 +116,9 @@ func TestAnswerBudgetMaxFixpointRounds(t *testing.T) {
 	if qe.Stats.Iterations != 1 {
 		t.Fatalf("partial stats Iterations = %d, want 1", qe.Stats.Iterations)
 	}
-	// The engine-wide default budget applies to plain Answer too.
-	e2, err := NewFromBase(base, views, Options{
-		Strategy: InverseRules,
-		Budget:   Budget{MaxFixpointRounds: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.Answer(q); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Options.Budget not applied: err = %v", err)
-	}
-	// A per-call override relaxes it.
-	if _, err := e2.AnswerBudget(context.Background(), q, Budget{}); err != nil {
-		t.Fatalf("per-call override failed: %v", err)
+	// A zero per-call budget runs the same query unbounded.
+	if _, err := e.AnswerBudget(context.Background(), q, Budget{}); err != nil {
+		t.Fatalf("unbudgeted call failed: %v", err)
 	}
 }
 
@@ -143,15 +132,11 @@ func TestExecTypedArityError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.Exec(); !errors.Is(err, ErrArityMismatch) {
+	if _, err := execute(pq); !errors.Is(err, ErrArityMismatch) {
 		t.Fatalf("missing-arg err = %v, want ErrArityMismatch", err)
 	}
-	if _, err := pq.Exec("a", "b"); !errors.Is(err, ErrArityMismatch) {
+	if _, err := execute(pq, "a", "b"); !errors.Is(err, ErrArityMismatch) {
 		t.Fatalf("surplus-arg err = %v, want ErrArityMismatch", err)
-	}
-	// Eval on a parameterized plan is the same typed error.
-	if _, err := e.Eval(pq.Plan()); !errors.Is(err, ErrArityMismatch) {
-		t.Fatalf("Eval err = %v, want ErrArityMismatch", err)
 	}
 }
 
@@ -170,8 +155,9 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := *pq.Plan()
-	bad.Params = nil // lie about the arity: EvalCtx admits it, evaluation panics
-	_, err = e.EvalCtx(context.Background(), &bad)
+	bad.Params = nil // lie about the arity: ExecBudget admits it, evaluation panics
+	liar := &PreparedQuery{eng: e, plan: &bad}
+	_, err = liar.ExecBudget(context.Background(), Budget{})
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -186,7 +172,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("Stats().Panics = %d, want 1", got)
 	}
 	// The engine keeps serving healthy plans.
-	if _, err := pq.Exec("k3"); err != nil {
+	if _, err := execute(pq, "k3"); err != nil {
 		t.Fatalf("engine not serviceable after recovered panic: %v", err)
 	}
 }
@@ -357,7 +343,7 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 	if err := e.admit.acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Answer(q)
+	_, err = answer(e, q)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -366,7 +352,7 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 		t.Fatalf("no retry hint: %v", err)
 	}
 	e.admit.release(1)
-	if _, err := e.Answer(q); err != nil {
+	if _, err := answer(e, q); err != nil {
 		t.Fatalf("post-release query failed: %v", err)
 	}
 	st := e.Stats()
@@ -386,7 +372,7 @@ func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
-		before, err := e.Answer(q)
+		before, err := answer(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,10 +382,10 @@ func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := e.ApplyBatchCtx(ctx, batch); !errors.Is(err, ErrCanceled) {
+		if err := e.ApplyUpdateBudget(ctx, batch, nil, Budget{}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
-		mid, err := e.Answer(q)
+		mid, err := answer(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,10 +393,10 @@ func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
 			t.Fatalf("workers=%d: canceled batch changed answers: %v -> %v", workers, before, mid)
 		}
 		// Retry applies; the new join rows appear.
-		if err := e.ApplyBatch(batch); err != nil {
+		if err := update(e, batch, nil); err != nil {
 			t.Fatalf("workers=%d: retry: %v", workers, err)
 		}
-		after, err := e.Answer(q)
+		after, err := answer(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +437,7 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				rows, err := e.AnswerCtx(context.Background(), q)
+				rows, err := answer(e, q)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
@@ -472,12 +458,12 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 		if i%2 == 1 {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if err := e.ApplyBatchCtx(ctx, batch); !errors.Is(err, ErrCanceled) {
+			if err := e.ApplyUpdateBudget(ctx, batch, nil, Budget{}); !errors.Is(err, ErrCanceled) {
 				t.Fatalf("round %d: err = %v", i, err)
 			}
 			continue
 		}
-		if err := e.ApplyBatch(batch); err != nil {
+		if err := update(e, batch, nil); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		for pred, tuples := range batch {
@@ -493,7 +479,7 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 	// 4-worker evaluation must not strand worker goroutines.
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
-		_, _ = e.AnswerCtx(ctx, q)
+		_, _ = e.AnswerBudget(ctx, q, Budget{})
 		cancel()
 	}
 
@@ -515,11 +501,11 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Answer(q)
+	got, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Answer(q)
+	want, err := answer(fresh, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cq"
 	"repro/internal/storage"
@@ -21,7 +23,7 @@ func TestLiveEngineBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
-	before, err := e.Answer(q)
+	before, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +32,10 @@ func TestLiveEngineBasics(t *testing.T) {
 	}
 
 	// r(c,n) joins the existing s(n,y).
-	if err := e.Insert("r", storage.Tuple{"c", "n"}); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"r": {storage.Tuple{"c", "n"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Answer(q)
+	after, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +48,14 @@ func TestLiveEngineBasics(t *testing.T) {
 	}
 
 	// A multi-predicate batch whose join halves arrive together.
-	err = e.ApplyBatch(map[string][]storage.Tuple{
+	err = update(e, map[string][]storage.Tuple{
 		"r": {{"d", "o"}},
 		"s": {{"o", "z"}, {"n", "y"}}, // second tuple is a duplicate
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := e.Answer(q)
+	final, err := answer(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestLiveEngineBasics(t *testing.T) {
 	}
 
 	// Inserting into a view extent is rejected.
-	if err := e.Insert("v", storage.Tuple{"x", "y"}); err == nil {
+	if err := update(e, map[string][]storage.Tuple{"v": {storage.Tuple{"x", "y"}}}, nil); err == nil {
 		t.Fatal("insert into view extent accepted")
 	}
 }
@@ -102,7 +104,7 @@ func TestLiveEngineAllStrategies(t *testing.T) {
 		}
 		shadow := base.Clone()
 		for bi, batch := range batches {
-			if err := live.ApplyBatch(batch); err != nil {
+			if err := update(live, batch, nil); err != nil {
 				t.Fatalf("%s batch %d: %v", strat, bi, err)
 			}
 			for pred, tuples := range batch {
@@ -116,11 +118,11 @@ func TestLiveEngineAllStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s batch %d: rebuild: %v", strat, bi, err)
 			}
-			got, err := live.Answer(q)
+			got, err := answer(live, q)
 			if err != nil {
 				t.Fatalf("%s batch %d: live answer: %v", strat, bi, err)
 			}
-			want, err := fresh.Answer(q)
+			want, err := answer(fresh, q)
 			if err != nil {
 				t.Fatalf("%s batch %d: fresh answer: %v", strat, bi, err)
 			}
@@ -142,7 +144,7 @@ func TestLiveEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := static.Insert("r", storage.Tuple{"z", "z"}); err != ErrNotLive {
+	if err := update(static, map[string][]storage.Tuple{"r": {storage.Tuple{"z", "z"}}}, nil); err != ErrNotLive {
 		t.Fatalf("static insert err = %v, want ErrNotLive", err)
 	}
 	vs := static.Views()
@@ -154,10 +156,10 @@ func TestLiveEngineErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Arity mismatch leaves everything unchanged.
-	if err := live.InsertBatch("r", []storage.Tuple{{"only-one"}}); err == nil {
+	if err := update(live, map[string][]storage.Tuple{"r": []storage.Tuple{{"only-one"}}}, nil); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if got, _ := live.Answer(cq.MustParseQuery("q3(X,Y) :- r(X,Y)")); len(got) != 2 {
+	if got, _ := answer(live, cq.MustParseQuery("q3(X,Y) :- r(X,Y)")); len(got) != 2 {
 		t.Fatalf("failed batch changed answers: %v", got)
 	}
 }
@@ -195,18 +197,18 @@ func TestLiveEngineDifferential(t *testing.T) {
 				upd[pred] = append(upd[pred], tup)
 				shadow.Insert(pred, tup)
 			}
-			if err := live.ApplyBatch(upd); err != nil {
+			if err := update(live, upd, nil); err != nil {
 				t.Fatalf("trial %d (%s) batch %d: %v", trial, strat, batch, err)
 			}
 			fresh, err := NewFromBase(shadow, views, Options{Strategy: strat})
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: rebuild: %v", trial, strat, batch, err)
 			}
-			got, err := live.Answer(q)
+			got, err := answer(live, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: live: %v", trial, strat, batch, err)
 			}
-			want, err := fresh.Answer(q)
+			want, err := answer(fresh, q)
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: fresh: %v", trial, strat, batch, err)
 			}
@@ -226,7 +228,7 @@ func TestLiveEngineDifferential(t *testing.T) {
 }
 
 // TestLiveEngineSnapshotRace runs concurrent Answer calls (EvalWorkers=4)
-// against a stream of InsertBatch updates. The query is disconnected —
+// against a stream of insert batches. The query is disconnected —
 // its answer is the cross product of two separately updated relations —
 // so a torn read (one relation pre-batch, the other post-batch) would
 // produce an answer set matching no consistent state. Run under -race in
@@ -281,7 +283,7 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 		// Warm the plan cache before the writers start.
-		if ans, err := e.Answer(q); err != nil || matchesState(ans) != 0 {
+		if ans, err := answer(e, q); err != nil || matchesState(ans) != 0 {
 			t.Fatalf("%s: initial answer %v (err %v)", strat, ans, err)
 		}
 		stop := make(chan struct{})
@@ -296,7 +298,7 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 						return
 					default:
 					}
-					got, err := e.Answer(q)
+					got, err := answer(e, q)
 					if err != nil {
 						t.Errorf("%s reader %d: %v", strat, g, err)
 						return
@@ -309,10 +311,10 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 			}(g)
 		}
 		for k := 1; k <= nBatches; k++ {
-			err := e.ApplyBatch(map[string][]storage.Tuple{
+			err := update(e, map[string][]storage.Tuple{
 				"r": {{fmt.Sprintf("x%d", k), "k"}},
 				"s": {{"k", fmt.Sprintf("y%d", k)}},
-			})
+			}, nil)
 			if err != nil {
 				t.Errorf("%s batch %d: %v", strat, k, err)
 				break
@@ -324,12 +326,55 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 			t.FailNow()
 		}
 		// After the stream drains, readers must see exactly the final state.
-		final, err := e.Answer(q)
+		final, err := answer(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if matchesState(final) != nBatches {
 			t.Fatalf("%s: final state %v, want state %d", strat, final, nBatches)
 		}
+	}
+}
+
+// TestLiveBuildScalesLinearly guards the live construction path against
+// evaluating the view program over unindexed base relations, where every
+// join probe scans a whole relation and the build grows quadratically:
+// twice the base tuples must cost well under four times the build time
+// (best of three builds each side, ratio below 3).
+func TestLiveBuildScalesLinearly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped in -short mode")
+	}
+	views := []*cq.Query{cq.MustParseQuery("v(A,B) :- p1(A,C), p2(C,B)")}
+	// n tuples split over p1 and p2 with n/4 join keys: each key joins two
+	// p1 tuples with two p2 tuples, so the extent grows linearly in n.
+	build := func(n int) time.Duration {
+		base := storage.NewDatabase()
+		for i := 0; i < n/2; i++ {
+			key := fmt.Sprintf("c%d", i%(n/4))
+			base.Insert("p1", storage.Tuple{fmt.Sprintf("a%d", i), key})
+			base.Insert("p2", storage.Tuple{key, fmt.Sprintf("b%d", i)})
+		}
+		best := time.Duration(0)
+		for rep := 0; rep < 3; rep++ {
+			runtime.GC()
+			start := time.Now()
+			e, err := NewFromBase(base, views, Options{LiveUpdates: true})
+			d := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Database().Relation("v").Len(); got != n {
+				t.Fatalf("n=%d: extent has %d tuples, want %d", n, got, n)
+			}
+			if rep == 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := build(20000), build(40000)
+	if ratio := float64(large) / float64(small); ratio >= 3 {
+		t.Fatalf("live build took %v for 20k base tuples and %v for 40k: ratio %.2f, want < 3 (superlinear)", small, large, ratio)
 	}
 }

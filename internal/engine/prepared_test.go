@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func TestTemplateCacheSharesPointLookupStream(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		q := cq.MustParseQuery(fmt.Sprintf("q(Y) :- r(k%d,Z), s(Z,Y)", i))
-		got, err := e.Answer(q)
+		got, err := answer(e, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -85,7 +86,7 @@ func TestPrepareExec(t *testing.T) {
 		t.Fatalf("Args = %v, want [k3]", args)
 	}
 	// Default binding reproduces Answer of the original query.
-	got, err := pq.Exec(pq.Args()...)
+	got, err := execute(pq, pq.Args()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPrepareExec(t *testing.T) {
 		t.Fatalf("Exec(k3) = %v, want %v", got, want)
 	}
 	// A fresh binding answers the other query without touching the cache.
-	got, err = pq.Exec("k7")
+	got, err = execute(pq, "k7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +107,10 @@ func TestPrepareExec(t *testing.T) {
 		t.Fatalf("misses = %d, want 1", st.Misses)
 	}
 	// Arity mismatches are errors, not panics.
-	if _, err := pq.Exec(); err == nil {
+	if _, err := execute(pq); err == nil {
 		t.Fatal("Exec with missing argument accepted")
 	}
-	if _, err := pq.Exec("a", "b"); err == nil {
+	if _, err := execute(pq, "a", "b"); err == nil {
 		t.Fatal("Exec with surplus arguments accepted")
 	}
 }
@@ -120,15 +121,16 @@ func TestEvalRejectsParameterizedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.Plan(cq.MustParseQuery("q(Y) :- r(k1,Z), s(Z,Y)"))
+	pq, err := e.Prepare(cq.MustParseQuery("q(Y) :- r(k1,Z), s(Z,Y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Params) != 1 {
+	if p := pq.Plan(); len(p.Params) != 1 {
 		t.Fatalf("plan params = %v, want one placeholder", p.Params)
 	}
-	if _, err := e.Eval(p); err == nil {
-		t.Fatal("Eval accepted a parameterized plan")
+	// The binding is not part of the plan: executing without it is refused.
+	if _, err := execute(pq); !errors.Is(err, ErrArityMismatch) {
+		t.Fatalf("unbound parameterized plan: err = %v, want ErrArityMismatch", err)
 	}
 }
 
@@ -173,11 +175,11 @@ func TestPreparedExecMatchesAnswer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", strat, q, err)
 			}
-			exec, err := pq.Exec(pq.Args()...)
+			exec, err := execute(pq, pq.Args()...)
 			if err != nil {
 				t.Fatalf("%s %s: Exec: %v", strat, q, err)
 			}
-			ans, err := e.Answer(q)
+			ans, err := answer(e, q)
 			if err != nil {
 				t.Fatalf("%s %s: Answer: %v", strat, q, err)
 			}
@@ -215,7 +217,7 @@ func TestAutoAccounting(t *testing.T) {
 	if p.Estimate.Cost <= 0 {
 		t.Fatalf("estimate not recorded: %+v", p.Estimate)
 	}
-	if _, err := e.Answer(q); err != nil { // hit
+	if _, err := answer(e, q); err != nil { // hit
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -307,7 +309,7 @@ func TestEquivalentFirstFallbackAttribution(t *testing.T) {
 	if p.Chosen != MiniCon {
 		t.Fatalf("chosen = %s, want minicon fallback", p.Chosen)
 	}
-	if _, err := e.Answer(q); err != nil {
+	if _, err := answer(e, q); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -375,7 +377,7 @@ func TestConstantViewsDisableAbstraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	qTag := cq.MustParseQuery("q(X) :- r(X,tag)")
-	got, err := e.Answer(qTag)
+	got, err := answer(e, qTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,14 +417,14 @@ func TestGroundComparisonSurvivesTemplating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Answer(cq.MustParseQuery("q(Y) :- r(5,Y), 5 > 3"))
+	got, err := answer(e, cq.MustParseQuery("q(Y) :- r(5,Y), 5 > 3"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !storage.TuplesEqual(got, []storage.Tuple{{"y"}}) {
 		t.Fatalf("ground-true comparison lost the answer: %v", got)
 	}
-	got, err = e.Answer(cq.MustParseQuery("q(Y) :- r(5,Y), 5 > 9"))
+	got, err = answer(e, cq.MustParseQuery("q(Y) :- r(5,Y), 5 > 9"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +487,7 @@ func TestAutoParameterizedInverseLastResort(t *testing.T) {
 	// s is underivable from the views: certain answers are empty for any
 	// binding, and the parameter filter must not error.
 	for _, arg := range []string{"a", "zz"} {
-		got, err := pq.Exec(arg)
+		got, err := execute(pq, arg)
 		if err != nil {
 			t.Fatalf("Exec(%s): %v", arg, err)
 		}
@@ -524,17 +526,17 @@ func TestPreparedLiveUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := pq.Exec("k999")
+	before, err := execute(pq, "k999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(before) != 0 {
 		t.Fatalf("unexpected answers before insert: %v", before)
 	}
-	if err := e.ApplyBatch(map[string][]storage.Tuple{"r": {{"k999", "m3"}}}); err != nil {
+	if err := update(e, map[string][]storage.Tuple{"r": {{"k999", "m3"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	after, err := pq.Exec("k999")
+	after, err := execute(pq, "k999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete r(a,m): v(a,x) loses its only derivation, vr(a,m) too.
-	res, err := m.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {{"a", "m"}}})
+	res, err := apply(m, nil, map[string][]storage.Tuple{"r": {{"a", "m"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 
 	// Mixed batch: re-insert r(a,m) and delete s(m,x) — v(a,x) must not
 	// come back (its join partner is gone) but vr(a,m) must.
-	res, err = m.ApplyUpdate(
+	res, err = apply(m,
 		map[string][]storage.Tuple{"r": {{"a", "m"}}},
 		map[string][]storage.Tuple{"s": {{"m", "x"}}},
 	)
@@ -51,7 +51,7 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 	}
 
 	// Deleting a view extent is rejected and mutates nothing.
-	if _, err := m.ApplyUpdate(nil, map[string][]storage.Tuple{"v": {{"z", "z"}}}); err == nil {
+	if _, err := apply(m, nil, map[string][]storage.Tuple{"v": {{"z", "z"}}}); err == nil {
 		t.Fatal("delete from view extent accepted")
 	}
 
@@ -110,7 +110,7 @@ func TestMaintainerUpdateDifferential(t *testing.T) {
 					fmt.Sprintf("c%d", rng.Intn(16)),
 				})
 			}
-			if _, err := m.ApplyUpdate(ins, del); err != nil {
+			if _, err := apply(m, ins, del); err != nil {
 				t.Fatalf("trial %d batch %d: %v", trial, batch, err)
 			}
 			for p, tuples := range del {

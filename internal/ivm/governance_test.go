@@ -39,9 +39,9 @@ func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err = m.ApplyBatchCtx(ctx, map[string][]storage.Tuple{
+		_, err = m.ApplyUpdateCtx(ctx, map[string][]storage.Tuple{
 			"s": {{"n", "9"}},
-		}, datalog.Limits{})
+		}, nil, datalog.Limits{})
 		if !errors.Is(err, datalog.ErrCanceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
@@ -50,7 +50,7 @@ func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
 		}
 
 		// The same batch retried without the cancel applies cleanly.
-		res, err := m.ApplyBatch(map[string][]storage.Tuple{"s": {{"n", "9"}}})
+		res, err := apply(m, map[string][]storage.Tuple{"s": {{"n", "9"}}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,9 +76,9 @@ func TestApplyBatchCtxBudgetRollsBack(t *testing.T) {
 	// seed round derived tuples and a second round is still needed. If the
 	// budget happens not to trip, the test detects it and uses a stricter
 	// check below.
-	_, err = m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
+	_, err = m.ApplyUpdateCtx(context.Background(), map[string][]storage.Tuple{
 		"s": {{"n", "9"}, {"q", "8"}, {"z", "7"}},
-	}, datalog.Limits{MaxDerived: 1})
+	}, nil, datalog.Limits{MaxDerived: 1})
 	if !errors.Is(err, datalog.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -96,15 +96,15 @@ func TestApplyBatchCtxValidationUnchanged(t *testing.T) {
 	}
 	before := dbFingerprint(m.Database())
 	// Inserting into a view predicate is rejected up front.
-	if _, err := m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
+	if _, err := m.ApplyUpdateCtx(context.Background(), map[string][]storage.Tuple{
 		"v": {{"a", "b"}},
-	}, datalog.Limits{}); err == nil {
+	}, nil, datalog.Limits{}); err == nil {
 		t.Fatal("insert into view predicate should fail")
 	}
 	// Arity mismatch is a typed error now.
-	_, err = m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
+	_, err = m.ApplyUpdateCtx(context.Background(), map[string][]storage.Tuple{
 		"r": {{"only-one"}},
-	}, datalog.Limits{})
+	}, nil, datalog.Limits{})
 	var ae *storage.ArityError
 	if !errors.As(err, &ae) {
 		t.Fatalf("err = %T (%v), want *storage.ArityError", err, err)
@@ -135,12 +135,12 @@ func TestApplyBatchCtxRepeatedCancelConverges(t *testing.T) {
 		if i%2 == 0 {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := m.ApplyBatchCtx(ctx, b, datalog.Limits{}); !errors.Is(err, datalog.ErrCanceled) {
+			if _, err := m.ApplyUpdateCtx(ctx, b, nil, datalog.Limits{}); !errors.Is(err, datalog.ErrCanceled) {
 				t.Fatalf("batch %d: err = %v", i, err)
 			}
 			continue
 		}
-		if _, err := m.ApplyBatch(b); err != nil {
+		if _, err := apply(m, b, nil); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		applied = append(applied, b)
@@ -150,7 +150,7 @@ func TestApplyBatchCtxRepeatedCancelConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range applied {
-		if _, err := ref.ApplyBatch(b); err != nil {
+		if _, err := apply(ref, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

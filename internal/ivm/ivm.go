@@ -8,21 +8,20 @@
 // of the batch, not to the size of the database.
 //
 // Inserts propagate monotonically. Deletions are non-monotone and take the
-// datalog counting/DRed machinery (ApplyUpdates): view sets are flat, so
-// the compiled program tracks exact per-derived-tuple derivation counts —
-// built lazily on the first deletion — and retracts an extent tuple
-// exactly when its count reaches zero. Batches mixing deletions and
+// datalog counting/DRed machinery (CompiledProgram.Apply): view sets are
+// flat, so the compiled program tracks exact per-derived-tuple derivation
+// counts — built lazily on the first deletion — and retracts an extent
+// tuple exactly when its count reaches zero. Batches mixing deletions and
 // insertions apply deletions first and are atomic either way.
 //
-// The Maintainer is the engine's mutation path: Engine.InsertBatch and
-// Engine.DeleteBatch apply a batch here, then forward the returned base
-// and extent deltas to the serving snapshots. It is equally usable
-// standalone for applications that keep extents fresh without the serving
-// layer.
+// The Maintainer is the engine's mutation path: Engine.ApplyUpdateBudget
+// applies a batch here, then forwards the returned base and extent deltas
+// to the serving snapshots. It is equally usable standalone for
+// applications that keep extents fresh without the serving layer.
 //
-// A Maintainer is single-writer: calls to ApplyBatch must be serialized by
-// the caller (the engine holds an update mutex). Reads of the maintained
-// database may not overlap an ApplyBatch call.
+// A Maintainer is single-writer: calls to ApplyUpdateCtx must be
+// serialized by the caller (the engine holds an update mutex). Reads of the
+// maintained database may not overlap an ApplyUpdateCtx call.
 package ivm
 
 import (
@@ -87,7 +86,7 @@ type BatchResult struct {
 
 // Stats aggregates a Maintainer's lifetime work.
 type Stats struct {
-	// Batches is the number of ApplyBatch/ApplyUpdate calls that succeeded.
+	// Batches is the number of ApplyUpdateCtx calls that succeeded.
 	Batches uint64
 	// BaseInserted counts base tuples that were new across all batches.
 	BaseInserted uint64
@@ -122,7 +121,9 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 	// Deletion state must see the pre-materialization base: view-named
 	// facts present there are baseline and survive every retraction.
 	st := cp.NewMaintState(base)
-	db, err := cp.Eval(base)
+	// Run indexes its private clone of base before the fixpoint, so the
+	// materialization probes indexes instead of scanning per probe.
+	db, err := cp.Run(context.Background(), base, datalog.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("ivm: materialize: %w", err)
 	}
@@ -193,96 +194,34 @@ func (m *Maintainer) IsView(pred string) bool { return m.viewNames[pred] }
 // Database returns the maintained database: base relations plus every view
 // extent, frozen, with indexes maintained across batches. It is the live
 // maintenance state — callers must not mutate it, and must not read it
-// concurrently with ApplyBatch.
+// concurrently with ApplyUpdateCtx.
 func (m *Maintainer) Database() *storage.Database { return m.db }
 
-// ApplyBatch inserts base facts — across any number of predicates — and
-// delta-maintains every extent. Inserts into view predicates are rejected,
-// and the batch is validated before anything is mutated. Tuples already
-// present count as duplicates and propagate nothing.
-func (m *Maintainer) ApplyBatch(updates map[string][]storage.Tuple) (*BatchResult, error) {
-	return m.ApplyBatchCtx(context.Background(), updates, datalog.Limits{})
-}
-
-// ApplyUpdate applies a mixed batch: deletes are removed (and their extent
-// consequences retracted) first, then inserts propagate as in ApplyBatch.
-// The batch is atomic — on any error the maintained database is exactly
-// its pre-batch state. Deleting absent tuples is a no-op; view
-// predicates are rejected on both sides.
-func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*BatchResult, error) {
-	return m.ApplyUpdateCtx(context.Background(), inserts, deletes, datalog.Limits{})
-}
-
-// undoLog records every relation's pre-batch tuple count. It backs the
-// monotone insert path only: those batches never remove tuples, so
-// truncating each relation back to its recorded length — and dropping
-// relations the batch created — restores the exact pre-batch state.
-// Deletion batches are instead journaled inside datalog.ApplyUpdates,
-// which removes before it appends.
-type undoLog map[string]int
-
-// snapshot captures the pre-batch relation sizes. O(number of relations),
-// no tuple copying.
-func (m *Maintainer) snapshot() undoLog {
-	u := make(undoLog)
-	for _, pred := range m.db.Predicates() {
-		u[pred] = m.db.Relation(pred).Len()
-	}
-	return u
-}
-
-// restore rolls the database back to the undo log: relations the batch
-// created are dropped, the rest are truncated to their pre-batch lengths
-// (index postings are unwound with the tuples).
-func (m *Maintainer) restore(u undoLog) {
-	for _, pred := range m.db.Predicates() {
-		n, ok := u[pred]
-		if !ok {
-			m.db.Drop(pred)
-			continue
-		}
-		m.db.Relation(pred).TruncateTo(n)
-	}
-}
-
-// ApplyBatchCtx is ApplyBatch under a cancellation context and evaluation
-// limits. The batch is atomic: on any error — validation, cancellation
+// ApplyUpdateCtx applies a mixed batch under a cancellation context and
+// evaluation limits: deletes are removed (and their extent consequences
+// retracted) first, then inserts are added and propagated into every
+// extent. Deleting absent tuples and inserting present ones are no-ops;
+// view predicates are rejected on both sides, and the batch is validated
+// before anything is mutated. The batch is atomic (datalog's
+// CompiledProgram.Apply): on any error — validation, cancellation
 // (datalog.ErrCanceled), or a budget trip (datalog.ErrBudgetExceeded) —
-// every partially propagated tuple is rolled back and the maintained
-// database is exactly its pre-batch state, so an aborted batch can simply
-// be retried. A panic during propagation also rolls back before being
-// re-raised to the caller's recover guard.
-func (m *Maintainer) ApplyBatchCtx(ctx context.Context, updates map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
-	return m.ApplyUpdateCtx(ctx, updates, nil, lim)
-}
-
-// ApplyUpdateCtx is ApplyUpdate under a cancellation context and evaluation
-// limits, with the same atomicity contract as ApplyBatchCtx: cancellation
-// or a tripped budget mid-retraction rolls the whole batch back. Insert-only
-// batches keep the monotone propagation path until the first deletion builds the derivation counts; from then on every
-// batch flows through the counting path so the counts stay exact.
+// the maintained database is exactly its pre-batch state, so an aborted
+// batch can simply be retried. A panic during propagation also rolls back
+// before being re-raised to the caller's recover guard.
 func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
 	start := time.Now()
-	hasDeletes := false
-	for _, tuples := range deletes {
-		if len(tuples) > 0 {
-			hasDeletes = true
-			break
-		}
-	}
-	var (
-		res *BatchResult
-		err error
-	)
-	if hasDeletes || m.st.CountsReady() {
-		res, err = m.applyNonMonotone(ctx, inserts, deletes, lim)
-	} else {
-		res, err = m.applyMonotone(ctx, inserts, lim)
-	}
+	ures, err := m.cp.Apply(ctx, m.db, m.st, inserts, deletes, datalog.RunOpts{Workers: m.opt.Workers, Limits: lim})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	res.Duration = time.Since(start)
+	res := &BatchResult{
+		BaseInserted:    ures.BaseInserted,
+		BaseDeleted:     ures.BaseDeleted,
+		ExtentDelta:     ures.Derived,
+		ExtentRetracted: ures.Retracted,
+		Stats:           ures.Stats,
+		Duration:        time.Since(start),
+	}
 	m.batches++
 	for _, tuples := range res.BaseInserted {
 		m.baseInserted += uint64(len(tuples))
@@ -297,43 +236,6 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 	m.rounds += uint64(res.Stats.Iterations)
 	m.maintainTime += res.Duration
 	return res, nil
-}
-
-// applyMonotone is the insert-only path, with a length-snapshot undo log
-// for atomicity.
-func (m *Maintainer) applyMonotone(ctx context.Context, updates map[string][]storage.Tuple, lim datalog.Limits) (res *BatchResult, err error) {
-	undo := m.snapshot()
-	defer func() {
-		if r := recover(); r != nil {
-			m.restore(undo)
-			panic(r)
-		}
-		if err != nil {
-			m.restore(undo)
-		}
-	}()
-	fresh, derived, stats, err := m.cp.ApplyInsertsCtx(ctx, m.db, updates, m.opt.Workers, lim)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: %w", err)
-	}
-	return &BatchResult{BaseInserted: fresh, ExtentDelta: derived, Stats: stats}, nil
-}
-
-// applyNonMonotone is the deletion-capable path: the counting update
-// (datalog.ApplyUpdates journals and rolls back internally, so no snapshot
-// is needed here).
-func (m *Maintainer) applyNonMonotone(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
-	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, m.st, inserts, deletes, m.opt.Workers, lim)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: %w", err)
-	}
-	return &BatchResult{
-		BaseInserted:    ures.BaseInserted,
-		BaseDeleted:     ures.BaseDeleted,
-		ExtentDelta:     ures.Derived,
-		ExtentRetracted: ures.Retracted,
-		Stats:           ures.Stats,
-	}, nil
 }
 
 // Stats snapshots the maintainer's lifetime counters.

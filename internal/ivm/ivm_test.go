@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,9 +46,9 @@ func TestMaintainerBasics(t *testing.T) {
 		t.Fatalf("initial big extent = %d, want 1", got)
 	}
 
-	res, err := m.ApplyBatch(map[string][]storage.Tuple{
+	res, err := apply(m, map[string][]storage.Tuple{
 		"s": {{"n", "9"}, {"m", "x"}}, // one new join partner, one duplicate
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestMaintainerBasics(t *testing.T) {
 	}
 
 	// Inserting into a view predicate is rejected and mutates nothing.
-	if _, err := m.ApplyBatch(map[string][]storage.Tuple{"v": {{"z", "z"}}}); err == nil {
+	if _, err := apply(m, map[string][]storage.Tuple{"v": {{"z", "z"}}}, nil); err == nil {
 		t.Fatal("insert into view extent accepted")
 	}
 
@@ -117,7 +118,7 @@ func TestMaintainerDifferential(t *testing.T) {
 				upd[p] = append(upd[p], tup)
 				shadow.Insert(p, tup)
 			}
-			if _, err := m.ApplyBatch(upd); err != nil {
+			if _, err := apply(m, upd, nil); err != nil {
 				t.Fatalf("trial %d batch %d: %v", trial, batch, err)
 			}
 			want, err := datalog.MaterializeViews(shadow, views)
@@ -139,4 +140,9 @@ func TestMaintainerDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// apply is ApplyUpdateCtx under context.Background() with no limits.
+func apply(m *Maintainer, inserts, deletes map[string][]storage.Tuple) (*BatchResult, error) {
+	return m.ApplyUpdateCtx(context.Background(), inserts, deletes, datalog.Limits{})
 }

@@ -88,7 +88,7 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 		}
 		for batch := rng.Intn(3); batch > 0; batch-- {
 			ins, del := randomUpdate(rng, ref.Database(), preds)
-			if _, err := ref.ApplyUpdate(ins, del); err != nil {
+			if _, err := apply(ref, ins, del); err != nil {
 				t.Fatalf("trial %d warm-up: %v", trial, err)
 			}
 		}
@@ -101,11 +101,11 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 		}
 		for batch := 0; batch < 2+rng.Intn(4); batch++ {
 			ins, del := randomUpdate(rng, ref.Database(), preds)
-			want, err := ref.ApplyUpdate(ins, del)
+			want, err := apply(ref, ins, del)
 			if err != nil {
 				t.Fatalf("trial %d batch %d: reference: %v", trial, batch, err)
 			}
-			got, err := m.ApplyUpdate(ins, del)
+			got, err := apply(m, ins, del)
 			if err != nil {
 				t.Fatalf("trial %d batch %d: rebuilt: %v", trial, batch, err)
 			}
@@ -156,11 +156,11 @@ func TestNewFromMaterializedMissingExtent(t *testing.T) {
 	// s(q,9) joins no r fact, so it derives into big alone — the same
 	// delta on both sides although only the reference holds v(a,x).
 	upd := map[string][]storage.Tuple{"s": {{"q", "9"}}}
-	want, err := ref.ApplyBatch(upd)
+	want, err := apply(ref, upd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ApplyBatch(upd)
+	got, err := apply(m, upd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

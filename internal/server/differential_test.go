@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,7 +80,7 @@ func TestHTTPDifferentialQuiescent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(strat)) * 7919))
 			for i := 0; i < trials; i++ {
 				qsrc := randomQuery(rng, n)
-				want, err := ns.Engine.Answer(cq.MustParseQuery(qsrc))
+				want, err := ns.Engine.AnswerBudget(context.Background(), cq.MustParseQuery(qsrc), engine.Budget{})
 				if err != nil {
 					t.Fatalf("in-process %s: %v", qsrc, err)
 				}
@@ -117,7 +118,7 @@ func TestHTTPDifferentialConcurrentBatch(t *testing.T) {
 	const qsrc = "q(X,Y) :- r(X,Z), s(Z,Y)."
 	q := cq.MustParseQuery(qsrc)
 
-	pre, err := ns.Engine.Answer(q)
+	pre, err := ns.Engine.AnswerBudget(context.Background(), q, engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestHTTPDifferentialConcurrentBatch(t *testing.T) {
 	default:
 	}
 
-	post, err := ns.Engine.Answer(q)
+	post, err := ns.Engine.AnswerBudget(context.Background(), q, engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestBatchRoundTripNastyValues(t *testing.T) {
 	readBody(t, resp)
 
 	const qsrc = "q(X,Y) :- r(X,Y)."
-	want, err := ns.Engine.Answer(cq.MustParseQuery(qsrc))
+	want, err := ns.Engine.AnswerBudget(context.Background(), cq.MustParseQuery(qsrc), engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -155,7 +156,7 @@ func TestQueryMatchesInProcess(t *testing.T) {
 	ns := testNamespace(t, DefaultNamespace, 30, Config{})
 	_, ts := testServer(t, ns)
 	const qsrc = "q(X,Y) :- r(X,Z), s(Z,Y)."
-	want, err := ns.Engine.Answer(cq.MustParseQuery(qsrc))
+	want, err := ns.Engine.AnswerBudget(context.Background(), cq.MustParseQuery(qsrc), engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestPrepareExecFlow(t *testing.T) {
 
 	// Exec under a different binding matches the one-shot answer.
 	for _, k := range []string{"k3", "k7", "k12", "nope"} {
-		want, err := ns.Engine.Answer(cq.MustParseQuery(fmt.Sprintf("q(Y) :- r(%s,Z), s(Z,Y).", k)))
+		want, err := ns.Engine.AnswerBudget(context.Background(), cq.MustParseQuery(fmt.Sprintf("q(Y) :- r(%s,Z), s(Z,Y).", k)), engine.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
