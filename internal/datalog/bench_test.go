@@ -126,6 +126,32 @@ func BenchmarkEvalDisconnected(b *testing.B) {
 	benchEvalRoutes(b, db, cq.MustParseQuery("q(X) :- v1(X), v2(A), v3(B)"))
 }
 
+// BenchmarkRunFanoutDistinct is the warm fan-out exec of a served
+// equivalent rewriting: one index probe on a view extent, v(A, b) with b a
+// parameter, returning 1000 rows. The component is distinct (every bound
+// slot is a head slot), so the executor emits rows without a dedup set.
+func BenchmarkRunFanoutDistinct(b *testing.B) {
+	db := storage.NewDatabase()
+	for i := 0; i < 20000; i++ {
+		db.Insert("v", storage.Tuple{fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i%20)})
+	}
+	db.BuildIndexes()
+	q := cq.MustParseQuery("q(A) :- v(A, B)")
+	plan := CompileParams(q, []string{"B"}, cost.NewCatalog(db))
+	if !plan.components[0].distinct {
+		b.Fatalf("fan-out plan is not distinct:\n%s", plan.Describe())
+	}
+	o := RunOpts{Args: []string{"b7"}}
+	if n := len(runPlan(plan, db, o)); n != 1000 {
+		b.Fatalf("fan-out returned %d rows, want 1000", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runPlan(plan, db, o)
+	}
+}
+
 // Fixpoint benchmarks: interpretive Program.EvalInterp vs the compiled
 // semi-naive executor on recursive workloads. "warm" reuses a precompiled
 // CompiledProgram (the engine's steady state); "cold" pays compilation per

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -89,6 +90,31 @@ type compiledStep struct {
 type compiledComponent struct {
 	steps     []compiledStep
 	headSlots []int
+	// distinct: the component's answers are distinct by construction
+	// (isDistinct), so the executor keeps no dedup set for it.
+	distinct bool
+}
+
+// isDistinct reports whether no step dedups and every slot a step binds is
+// a head slot — then the answers are distinct by construction. Relations
+// are sets, so two candidates matching a non-dedup step under the same
+// frame differ in a bound column; existential steps stop at their first
+// match; root shards split the candidates. Distinct complete frames
+// therefore differ in some bound slot, which is a head slot, so their
+// projections differ too.
+func (c *compiledComponent) isDistinct() bool {
+	for i := range c.steps {
+		s := &c.steps[i]
+		if s.dedup {
+			return false
+		}
+		for _, op := range s.ops {
+			if op.action == colBind && !slices.Contains(c.headSlots, op.slot) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // headOp builds one head-tuple column from the frame or a constant.
@@ -210,6 +236,7 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 			// component (an unsafe query): no binding can satisfy it.
 			p.empty = true
 		}
+		cc.distinct = cc.isDistinct()
 		p.components = append(p.components, cc)
 	}
 
@@ -469,16 +496,10 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers int, gs *guardState) []storage.Tuple {
 	base := p.baseFrame(args)
 	// Single-component fast path (the common case): emit head tuples
-	// straight from the frame, one allocation per distinct answer.
+	// straight from the frame into slab-carved tuples.
 	if !p.empty && len(p.components) == 1 && len(p.components[0].headSlots) > 0 {
 		c := &p.components[0]
-		rows := p.enumerateComponent(c, p.resolve(db, c), workers, base,
-			func(frame []string) []string { return p.headTuple(frame) }, gs)
-		out := make([]storage.Tuple, len(rows))
-		for i, r := range rows {
-			out[i] = r
-		}
-		return out
+		return p.enumerateComponent(c, p.resolve(db, c), workers, base, p.headTuple, gs)
 	}
 	parts, ok := p.componentRows(db, workers, base, gs)
 	if !ok || gs.failure() != nil {
@@ -507,8 +528,9 @@ func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers
 // needed. The product can dwarf the component scans (it multiplies where
 // they add), so the combine loop carries its own guard: cancellation lands
 // within one guardInterval of output tuples, not after the full product.
-func (p *CompiledPlan) combineComponents(parts [][][]string, base []string, gs *guardState) []storage.Tuple {
+func (p *CompiledPlan) combineComponents(parts [][]storage.Tuple, base []string, gs *guardState) []storage.Tuple {
 	var out []storage.Tuple
+	var slab tupleSlab
 	g := gs.child()
 	frame := make([]string, p.numSlots)
 	copy(frame, base) // head positions may read parameter slots
@@ -518,7 +540,7 @@ func (p *CompiledPlan) combineComponents(parts [][][]string, base []string, gs *
 			if g != nil && g.tick() {
 				return false
 			}
-			out = append(out, p.headTuple(frame))
+			out = append(out, p.headTuple(frame, &slab))
 			return true
 		}
 		c := &p.components[i]
@@ -576,10 +598,10 @@ func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []ste
 	return srcs
 }
 
-// projectRows returns the projection of a frame onto the component's head
+// projectRow returns the projection of a frame onto the component's head
 // slots, for combining per-component results.
-func (c *compiledComponent) projectRow(frame []string) []string {
-	row := make([]string, len(c.headSlots))
+func (c *compiledComponent) projectRow(frame []string, slab *tupleSlab) storage.Tuple {
+	row := slab.alloc(len(c.headSlots))
 	for j, s := range c.headSlots {
 		row[j] = frame[s]
 	}
@@ -590,11 +612,11 @@ func (c *compiledComponent) projectRow(frame []string) []string {
 // projections onto its head slots (nil rows for existence-only
 // components). ok=false means some component has no match — the query has
 // no answers at all.
-func (p *CompiledPlan) componentRows(db *storage.Database, workers int, base []string, gs *guardState) ([][][]string, bool) {
+func (p *CompiledPlan) componentRows(db *storage.Database, workers int, base []string, gs *guardState) ([][]storage.Tuple, bool) {
 	if p.empty {
 		return nil, false
 	}
-	parts := make([][][]string, len(p.components))
+	parts := make([][]storage.Tuple, len(p.components))
 	for i := range p.components {
 		c := &p.components[i]
 		srcs := p.resolve(db, c)
@@ -625,7 +647,7 @@ func (p *CompiledPlan) componentRows(db *storage.Database, workers int, base []s
 // the given projection function, sharding the root candidate loop across
 // workers when profitable. base is the initial frame (parameter slots
 // filled; see baseFrame).
-func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, workers int, base []string, project func([]string) []string, gs *guardState) [][]string {
+func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, workers int, base []string, project projectFunc, gs *guardState) []storage.Tuple {
 	root := &c.steps[0]
 	tuples := srcs[0].tuples
 	// Resolve the root candidate set once. At depth 0 the only bound slots
@@ -651,8 +673,9 @@ func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, 
 	}
 
 	// Shard the root loop round-robin; each worker dedups its own shard,
-	// the merge below dedups across shards.
-	shards := make([][][]string, workers)
+	// the merge below dedups across shards. The shards of a distinct
+	// component are disjoint and simply concatenate.
+	shards := make([][]storage.Tuple, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -662,11 +685,14 @@ func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, 
 		}(w)
 	}
 	wg.Wait()
-	var rows [][]string
+	if c.distinct {
+		return slices.Concat(shards...)
+	}
+	var rows []storage.Tuple
 	seen := make(map[string]bool)
 	for _, shard := range shards {
 		for _, row := range shard {
-			k := storage.Tuple(row).Key()
+			k := row.Key()
 			if !seen[k] {
 				seen[k] = true
 				rows = append(rows, row)
@@ -679,38 +705,69 @@ func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, 
 // runShard enumerates root candidates offset, offset+stride, ... through
 // the shared stepLoop and returns the distinct projections found below
 // them.
-func (p *CompiledPlan) runShard(c *compiledComponent, srcs []stepSrc, tuples []storage.Tuple, positions []int, usePositions bool, offset, stride int, base []string, project func([]string) []string, g *evalGuard) [][]string {
+func (p *CompiledPlan) runShard(c *compiledComponent, srcs []stepSrc, tuples []storage.Tuple, positions []int, usePositions bool, offset, stride int, base []string, project projectFunc, g *evalGuard) []storage.Tuple {
 	frame := make([]string, p.numSlots)
 	copy(frame, base)
-	var rows [][]string
-	seen := make(map[string]bool)
+	var rows []storage.Tuple
+	var slab tupleSlab
+	var seen map[string]bool
+	if !c.distinct {
+		seen = make(map[string]bool)
+	}
 	var keyBuf []byte
 	emit := func(frame []string) bool {
-		// Head tuples are injective in the head-slot values, so the frame
-		// key decides newness before the projection is materialised. The
-		// key is assembled in a reused buffer: the map lookup on
-		// string(keyBuf) does not allocate, only inserting a new key does.
-		keyBuf = keyBuf[:0]
-		for _, s := range c.headSlots {
-			keyBuf = append(keyBuf, frame[s]...)
-			keyBuf = append(keyBuf, 0x1f)
-		}
-		if !seen[string(keyBuf)] {
-			seen[string(keyBuf)] = true
-			rows = append(rows, project(frame))
-			if g.emitRow() {
-				return false
+		if seen != nil {
+			// Head tuples are injective in the head-slot values, so the
+			// frame key decides newness before the projection is
+			// materialised. The key is assembled in a reused buffer: the
+			// map lookup on string(keyBuf) does not allocate, only
+			// inserting a new key does.
+			keyBuf = keyBuf[:0]
+			for _, s := range c.headSlots {
+				keyBuf = append(keyBuf, frame[s]...)
+				keyBuf = append(keyBuf, 0x1f)
 			}
+			if seen[string(keyBuf)] {
+				return true
+			}
+			seen[string(keyBuf)] = true
 		}
-		return true
+		rows = append(rows, project(frame, &slab))
+		return !g.emitRow()
 	}
 	stepLoop(c, srcs, 0, frame, g, emit, tuples, positions, usePositions, offset, stride)
 	return rows
 }
 
+// projectFunc builds one result row from a complete frame, carving it
+// from slab.
+type projectFunc func(frame []string, slab *tupleSlab) storage.Tuple
+
+// tupleSlab carves result rows out of shared backing arrays. Each refill
+// holds twice the rows of the last, up to slabRows, so a one-row point
+// lookup allocates one row and a large answer set one array per slabRows
+// rows. Each row is capped at its own length, so appending to it never
+// writes into a neighbour.
+type tupleSlab struct {
+	free []string
+	rows int // rows per refill
+}
+
+const slabRows = 64
+
+func (s *tupleSlab) alloc(n int) storage.Tuple {
+	if len(s.free) < n {
+		s.rows = min(max(2*s.rows, 1), slabRows)
+		s.free = make([]string, s.rows*n)
+	}
+	t := s.free[:n:n]
+	s.free = s.free[n:]
+	return storage.Tuple(t)
+}
+
 // headTuple builds the answer tuple for a complete frame.
-func (p *CompiledPlan) headTuple(frame []string) storage.Tuple {
-	t := make(storage.Tuple, len(p.head))
+func (p *CompiledPlan) headTuple(frame []string, slab *tupleSlab) storage.Tuple {
+	t := slab.alloc(len(p.head))
 	for i, h := range p.head {
 		if h.slot >= 0 {
 			t[i] = frame[h.slot]
@@ -744,6 +801,9 @@ func (p *CompiledPlan) Describe() string {
 			sb.WriteString(" (existence check)")
 		} else {
 			fmt.Fprintf(&sb, " -> slots %v", c.headSlots)
+			if c.distinct {
+				sb.WriteString("  distinct")
+			}
 		}
 		sb.WriteByte('\n')
 		for j := range c.steps {

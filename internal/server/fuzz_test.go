@@ -45,15 +45,17 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { fuzzDecode[batchRequest](t, body) })
 }
 
-// FuzzRowsRoundTrip checks the wire encoding two ways. Any body Rows
+// FuzzRowsRoundTrip checks the wire encoding three ways. Any body Rows
 // accepts re-encodes to a fixed point: decoding the encoding yields the
-// same rows, which encode to the same bytes. And a row of arbitrary byte
+// same rows, which encode to the same bytes. A row of arbitrary byte
 // strings (the input split at NUL) survives encode/decode unchanged,
-// invalid UTF-8 included.
+// invalid UTF-8 included. And every encoding is byte-identical to the
+// reflection oracle's (checkEncoding).
 func FuzzRowsRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rows Rows
 		if json.Unmarshal(data, &rows) == nil {
+			checkEncoding(t, rows)
 			enc, err := json.Marshal(rows)
 			if err != nil {
 				t.Fatalf("encode decoded rows: %v", err)
@@ -70,6 +72,7 @@ func FuzzRowsRoundTrip(f *testing.F) {
 			}
 		}
 		want := Rows{storage.Tuple(strings.Split(string(data), "\x00"))}
+		checkEncoding(t, want)
 		enc, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)

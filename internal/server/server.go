@@ -242,12 +242,6 @@ type execRequest struct {
 	Budget    *budgetSpec `json:"budget,omitempty"`
 }
 
-// answersResponse is the result of exec and query.
-type answersResponse struct {
-	Answers Rows `json:"answers"`
-	Count   int  `json:"count"`
-}
-
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req execRequest
 	if !decode(w, r, &req) {
@@ -268,7 +262,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err, http.StatusInternalServerError, engine.CodeInternal)
 		return
 	}
-	writeJSON(w, http.StatusOK, answersResponse{Answers: answers, Count: len(answers)})
+	writeAnswers(w, answers)
 }
 
 // ---- /v1/query ----
@@ -298,7 +292,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err, http.StatusBadRequest, CodeInvalidQuery)
 		return
 	}
-	writeJSON(w, http.StatusOK, answersResponse{Answers: answers, Count: len(answers)})
+	writeAnswers(w, answers)
 }
 
 // ---- /v1/batch ----

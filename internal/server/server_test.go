@@ -111,6 +111,12 @@ func wantError(t testing.TB, resp *http.Response, status int, code string) Error
 	return body.Error
 }
 
+// answersResponse is the reply of exec and query (see appendAnswers).
+type answersResponse struct {
+	Answers Rows `json:"answers"`
+	Count   int  `json:"count"`
+}
+
 // answerKeys reduces an answer set to sorted tuple keys for comparison.
 func answerKeys(rows []storage.Tuple) []string {
 	keys := make([]string, len(rows))

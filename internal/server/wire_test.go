@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -119,17 +120,46 @@ func TestRowsMarshalEmptyAsArray(t *testing.T) {
 // silent corruption.
 func TestRowUnmarshalRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
-		`[42]`,               // number column
-		`[true]`,             // bool column
-		`[{"b64":"@@@@"}]`,   // invalid base64
-		`[[1,2]]`,            // nested array column
-		`{"not":"an array"}`, // row must be an array
-		`[{"b64": 5}]`,       // wrong b64 type
+		`[42]`,                          // number column
+		`[true]`,                        // bool column
+		`[{"b64":"@@@@"}]`,              // invalid base64
+		`[[1,2]]`,                       // nested array column
+		`{"not":"an array"}`,            // row must be an array
+		`[{"b64": 5}]`,                  // wrong b64 type
+		`[{}]`,                          // no b64 key
+		`[{"x":"y"}]`,                   // another key
+		`[{"b64":null}]`,                // null value
+		`[{"B64":"YQ=="}]`,              // key in another case
+		`[{"b64":"YQ==","x":1}]`,        // an extra key
+		`[{"b64":"YQ==","b64":"Yg=="}]`, // a repeated key
+		`[{"b64":{"b64":"YQ=="}}]`,      // nested object
 	} {
 		var r Row
 		if err := json.Unmarshal([]byte(bad), &r); err == nil {
 			t.Errorf("%s: accepted", bad)
 		}
+	}
+}
+
+// TestBatchRejectsLaxB64Columns: a /v1/batch whose column is an object of
+// any shape but {"b64": "<string>"} is a 400 bad_request and inserts
+// nothing — in particular not the empty string.
+func TestBatchRejectsLaxB64Columns(t *testing.T) {
+	ns := testNamespace(t, DefaultNamespace, 5, Config{LiveUpdates: true})
+	_, ts := testServer(t, ns)
+	for _, col := range []string{`{}`, `{"x":"y"}`, `{"b64":null}`, `{"b64":"YQ==","x":"y"}`} {
+		body := `{"updates": {"r": [[` + col + `, "m0"]]}}`
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantError(t, resp, http.StatusBadRequest, CodeBadRequest)
+	}
+	resp := postJSON(t, ts.URL+"/v1/query", queryRequest{Query: "q(X,Y) :- r(X,Y)"})
+	var ar answersResponse
+	decodeInto(t, resp, &ar)
+	if ar.Count != 5 {
+		t.Fatalf("base mutated by rejected batches: %d rows", ar.Count)
 	}
 }
 
