@@ -21,11 +21,15 @@ import (
 
 // Durable storage wiring: Options.DataDir turns construction into
 // recovery (newest valid snapshot + WAL replay through the maintainer),
-// the mutation funnel into a log-then-publish commit protocol, and Close
-// into a checkpoint. The engine always snapshots the maintainer's *full*
-// state — base relations plus every extent — regardless of serving
-// strategy, so the same snapshot can boot any strategy and a stale
-// snapshot still yields its base facts for re-materialization.
+// the mutation funnel into an apply-log-publish commit protocol, and Close
+// into a checkpoint. A batch is applied in place on serving side 0 (the
+// maintainer's database), appended to the WAL, and only then published to
+// readers, who wait on side 1 until it is on disk. The engine always
+// snapshots the maintainer's *full* state — base relations plus every
+// extent — regardless of serving strategy, so the same snapshot can boot
+// any strategy and a stale snapshot still yields its base facts for
+// re-materialization. Checkpoints read side 0 under the update mutex, so
+// no batch moves it mid-snapshot; readers pinned there only read it.
 
 // defaultSnapshotWALBytes is the WAL size that triggers a background
 // checkpoint when Options.SnapshotWALBytes is zero.
@@ -78,7 +82,8 @@ type DurableStats struct {
 	// ReplayTime. StaleRebuild reports that the snapshot's view
 	// fingerprint mismatched and the extents were re-materialized from
 	// the recovered base facts. ColdStart is the total wall time from
-	// opening the store to a ready maintainer.
+	// opening the store to an engine ready to serve: recovery or
+	// materialization, the serving sides and the boot checkpoint.
 	RecoveredTuples  int
 	RecoveredBatches int
 	ReplayTime       time.Duration
@@ -130,6 +135,7 @@ func viewsFingerprint(views []*cq.Query) string {
 // sure a snapshot covering the current state exists before any batch can
 // be logged.
 func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
+	start := time.Now()
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -148,7 +154,6 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 	if ds.threshold == 0 {
 		ds.threshold = defaultSnapshotWALBytes
 	}
-	start := time.Now()
 	ivmOpt := ivm.Options{Workers: evalWorkers(opt)}
 	var m *ivm.Maintainer
 	if man := store.Manifest(); man != nil {
@@ -204,21 +209,12 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 			return nil, err
 		}
 	}
-	ds.coldStart = time.Since(start)
 
 	var e *Engine
 	if opt.LiveUpdates {
-		e, err = newLiveFromMaintainer(vs, m, views, opt)
+		e, err = newLiveFromMaintainer(vs, m, opt)
 	} else {
-		var db *storage.Database
-		if opt.Strategy == InverseRules {
-			db, err = extentsOnly(m, views)
-		} else {
-			db = m.Database()
-		}
-		if err == nil {
-			e, err = New(vs, db, opt)
-		}
+		e, err = New(vs, servingDatabase(m, opt.Strategy), opt)
 	}
 	if err != nil {
 		return nil, err
@@ -235,6 +231,7 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 			logf("engine: boot checkpoint failed (the WAL still covers every batch): %v", err)
 		}
 	}
+	ds.coldStart = time.Since(start)
 	ok = true
 	return e, nil
 }
@@ -269,7 +266,7 @@ func (ds *durableState) checkpoint(m *ivm.Maintainer) error {
 // maybeCheckpoint spawns one background checkpoint when the WAL has
 // crossed the size threshold. Called from the mutation path right after a
 // publish; the goroutine re-acquires the update mutex, so writers stall
-// behind the checkpoint while readers keep serving the sides.
+// behind the checkpoint while readers keep serving side 1.
 func (ds *durableState) maybeCheckpoint(e *Engine) {
 	if ds.threshold <= 0 || ds.store.WALBytes() < ds.threshold {
 		return

@@ -391,3 +391,28 @@ func testBaseDB(t *testing.T) *storage.Database {
 	db, _ := testBase(t)
 	return db
 }
+
+// TestDurableColdStartCoversBoot: ColdStart times the whole boot of a
+// durable live engine — recovery or materialization, both serving sides
+// and the boot checkpoint — so over a ~40k-tuple base it accounts for at
+// least three quarters of the externally timed NewFromBase, on a fresh
+// boot and on a restart from the snapshot.
+func TestDurableColdStartCoversBoot(t *testing.T) {
+	base, views := pointBase(t, 40000)
+	dir := t.TempDir()
+	for _, boot := range []string{"fresh", "restart"} {
+		start := time.Now()
+		e, err := NewFromBase(base, views, durOpts(dir))
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := e.Stats().Durable.ColdStart
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if cold*4 < wall*3 {
+			t.Fatalf("%s boot: ColdStart %v, NewFromBase took %v: under three quarters", boot, cold, wall)
+		}
+	}
+}

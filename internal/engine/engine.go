@@ -34,6 +34,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -401,18 +402,25 @@ type Engine struct {
 }
 
 // liveState is the engine's mutation machinery: the incremental maintainer
-// that turns base inserts into extent deltas, and a left-right pair of
+// that turns base updates into extent deltas, and a left-right pair of
 // serving databases giving readers torn-free snapshots without blocking
 // them behind maintenance.
 //
-// Readers snapshot the active side under its RLock. A writer (one at a
-// time, under updateMu) first computes the batch's extent deltas on the
-// maintainer's private database, then appends the deltas to the inactive
-// side under its write lock, publishes that side as active, and finally
-// appends to the formerly active side once its readers drain. Every
-// mutation of a serving side happens under that side's write lock, so a
-// reader sees either the pre-batch or the post-batch database — never a
-// torn mix — while reads on the active side proceed during maintenance.
+// Side 0 is the maintainer's own database (under InverseRules, a view of
+// just its extent relations, shared by reference); side 1 is a clone.
+// Between batches readers are on side 1. A writer (one at a time, under
+// updateMu) takes side 0's write lock, waiting out readers still pinned
+// there, and applies the batch in place through the maintainer, which
+// rolls side 0 back itself on cancellation, a budget trip or a panic.
+// After the WAL append the writer publishes: readers flip to side 0,
+// which already holds the batch, the effective delta replays onto side 1
+// under its write lock, and readers flip back. Every mutation of a side
+// happens under that side's write lock, so a reader sees either the
+// pre-batch or the post-batch database, never a torn mix; a reader that
+// loaded the active index before a flip re-checks it once locked (pin), so
+// no reader reaches side 0 while it holds an unpublished batch. If the replay
+// fails or panics, side 1 is rebuilt as a clone of side 0 before readers
+// return to it: the batch stays committed and the pair mirrored.
 type liveState struct {
 	maint *ivm.Maintainer
 	// servesBase: the serving sides hold the base relations alongside the
@@ -524,15 +532,15 @@ func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engin
 	return New(vs, db, opt)
 }
 
-// newLive builds the live-update engine: one incremental maintainer plus
-// two serving copies of its database (left-right), all materialised from
+// newLive builds the live-update engine: one incremental maintainer whose
+// database is serving side 0, plus one clone of it, all materialised from
 // base exactly once.
 func newLive(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
 	m, err := ivm.New(base, views, ivm.Options{Workers: evalWorkers(opt)})
 	if err != nil {
 		return nil, err
 	}
-	return newLiveFromMaintainer(vs, m, views, opt)
+	return newLiveFromMaintainer(vs, m, opt)
 }
 
 // evalWorkers normalizes Options.EvalWorkers for the maintainer.
@@ -543,40 +551,28 @@ func evalWorkers(opt Options) int {
 	return opt.EvalWorkers
 }
 
-// extentsOnly copies just the view extents out of a maintainer's database
-// — the serving layout under InverseRules, which reconstructs the base
-// from the extents and must not read base facts directly.
-func extentsOnly(m *ivm.Maintainer, views []*cq.Query) (*storage.Database, error) {
-	db := storage.NewDatabase()
-	for _, v := range views {
-		src := m.Database().Relation(v.Name())
-		rel, err := db.Ensure(v.Name(), src.Arity())
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range src.Tuples() {
-			rel.Insert(t)
-		}
+// servingDatabase is the database an engine over m serves from: the
+// maintainer's own, or under InverseRules a database sharing just its view
+// extent relations by reference — inverse rules reconstruct the base from
+// the extents, and serving the base relations too would answer more than
+// the views expose.
+func servingDatabase(m *ivm.Maintainer, strat Strategy) *storage.Database {
+	if strat != InverseRules {
+		return m.Database()
 	}
-	return db, nil
+	db := storage.NewDatabase()
+	for _, v := range m.Views() {
+		db.Share(m.Database().Relation(v.Name()))
+	}
+	return db
 }
 
 // newLiveFromMaintainer finishes live-engine construction around an
 // existing maintainer (freshly materialized, or recovered from a durable
-// snapshot): the left-right serving pair is cloned from its database.
-func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
-	var side0 *storage.Database
-	var err error
-	if opt.Strategy == InverseRules {
-		// Inverse rules reconstruct the base from the extents; serving the
-		// base relations too would answer more than the views expose.
-		side0, err = extentsOnly(m, views)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		side0 = m.Database().Clone()
-	}
+// snapshot): its database becomes serving side 0, and side 1, where
+// readers start, is cloned from it.
+func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, opt Options) (*Engine, error) {
+	side0 := servingDatabase(m, opt.Strategy)
 	inner := opt
 	inner.LiveUpdates = false
 	e, err := New(vs, side0, inner) // indexes side0
@@ -584,11 +580,9 @@ func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Quer
 		return nil, err
 	}
 	e.opt.LiveUpdates = true
-	side1 := side0.Clone()
-	side1.BuildIndexes()
 	e.live = &liveState{maint: m, servesBase: opt.Strategy != InverseRules}
-	e.live.sides[0] = side0
-	e.live.sides[1] = side1
+	e.live.sides = [2]*storage.Database{side0, side0.Clone()}
+	e.live.active.Store(1)
 	return e, nil
 }
 
@@ -615,26 +609,45 @@ func (e *Engine) snapshot() (*storage.Database, func()) {
 	if e.live == nil {
 		return e.db, nil
 	}
-	i := e.live.active.Load()
-	e.live.locks[i].RLock()
-	return e.live.sides[i], e.live.locks[i].RUnlock
+	return e.live.pin(e.live.active.Load())
 }
 
-// applySide applies one batch's removals and deltas to serving side i
-// under the side's write lock, so snapshots never see a torn batch.
-// Removals replay before insertions: a tuple deleted and re-derived in the
-// same batch appears in both BatchResult maps, and the opposite order
-// would retract it from the serving side after re-inserting it. Every
-// successful removal is journaled into the publish undo log so a failed
-// publish can re-insert it.
-func (l *liveState) applySide(i int32, res *ivm.BatchResult, u *sideUndo) error {
-	l.locks[i].Lock()
-	defer l.locks[i].Unlock()
-	db := l.sides[i]
-	if l.servesBase {
-		removeDelta(db, res.BaseDeleted, u, i)
+// pin read-locks side i, an index loaded from active, and returns it with
+// its release. A reader that loaded i and stalled before its read lock may
+// have watched readers flip away and a writer take that side since: if
+// active no longer names i once the lock is held, pin retries on the side
+// it does name. Side 0 is written by commit only while active is 1, so a
+// reader never pins a batch that is not yet logged and published.
+func (l *liveState) pin(i int32) (*storage.Database, func()) {
+	for {
+		l.locks[i].RLock()
+		if l.active.Load() == i {
+			return l.sides[i], l.locks[i].RUnlock
+		}
+		l.locks[i].RUnlock()
+		i = l.active.Load()
 	}
-	removeDelta(db, res.ExtentRetracted, u, i)
+}
+
+// commit applies one batch in place on side 0, the maintainer's database,
+// under side 0's write lock. The maintainer's apply is atomic: on any
+// error or panic side 0 is exactly its pre-batch state.
+func (l *liveState) commit(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*ivm.BatchResult, error) {
+	l.locks[0].Lock()
+	defer l.locks[0].Unlock()
+	return l.maint.ApplyUpdateCtx(ctx, inserts, deletes, lim)
+}
+
+// replay applies a committed batch's removals and deltas to side 1, whose
+// write lock the caller holds. Removals replay before insertions: a tuple
+// deleted and re-derived in the same batch appears in both BatchResult
+// maps, and the opposite order would retract it after re-inserting it.
+func (l *liveState) replay(res *ivm.BatchResult) error {
+	db := l.sides[1]
+	if l.servesBase {
+		removeDelta(db, res.BaseDeleted)
+	}
+	removeDelta(db, res.ExtentRetracted)
 	if l.servesBase {
 		if err := appendDelta(db, res.BaseInserted); err != nil {
 			return err
@@ -643,21 +656,13 @@ func (l *liveState) applySide(i int32, res *ivm.BatchResult, u *sideUndo) error 
 	return appendDelta(db, res.ExtentDelta)
 }
 
-// removeDelta removes retracted tuples from a serving side, journaling
-// each removal so restoreSides can re-insert it. Missing relations
-// and absent tuples are skipped: the maintainer only reports removals that
-// were present in its database, which the sides mirror, so a miss here
-// would mean a divergence this function must not widen.
-func removeDelta(db *storage.Database, delta map[string][]storage.Tuple, u *sideUndo, side int32) {
+// removeDelta removes retracted tuples from a serving side. Missing
+// relations and absent tuples are skipped: the maintainer only reports
+// removals that were present in side 0, which side 1 mirrors.
+func removeDelta(db *storage.Database, delta map[string][]storage.Tuple) {
 	for pred, tuples := range delta {
-		rel := db.Relation(pred)
-		if rel == nil {
-			continue
-		}
 		for _, t := range tuples {
-			if rel.Remove(t) {
-				u.removed[side] = append(u.removed[side], sideRemoval{pred: pred, t: t})
-			}
+			db.Remove(pred, t)
 		}
 	}
 }
@@ -672,7 +677,7 @@ func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
 		}
 		rel, err := db.Ensure(pred, len(tuples[0]))
 		if err != nil {
-			return err // unreachable: the maintainer validated arities
+			return err
 		}
 		for _, t := range tuples {
 			rel.Insert(t)

@@ -492,16 +492,18 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, b Budge
 // (counting for flat view sets, DRed for recursive programs): one
 // propagation per batch instead of a full re-materialization. It runs
 // panic isolation, admission (updates weigh 2), deadline attachment, the
-// maintainer's atomic propagation, and the left-right publish of removals
-// and deltas. Batches from concurrent callers are serialized; answers keep
-// flowing from the active serving snapshot throughout, and every cached
-// plan stays valid (rewritings depend only on the view definitions).
+// maintainer's atomic propagation in place on serving side 0, and the
+// left-right publish that brings side 1 up to it. Batches from concurrent
+// callers are serialized; answers keep flowing from side 1 throughout,
+// and every cached plan stays valid (rewritings depend only on the view
+// definitions).
 //
-// The batch is atomic: either every retraction and insertion lands on both
-// serving sides, or none do. A canceled or budget-tripped batch — even one
-// caught mid-retraction — rolls the maintainer back and never touches the
-// serving sides, so the engine keeps answering from the exact pre-batch
-// state and the batch can simply be retried. The budget's deadline,
+// The batch is atomic: a canceled or budget-tripped batch — even one
+// caught mid-retraction — rolls side 0 back before any reader can reach
+// it, so the engine keeps answering from the exact pre-batch state and
+// the batch can simply be retried. Once propagation succeeds the batch is
+// committed: a failure replaying it onto side 1 rebuilds side 1 from side
+// 0 and returns the error, with the batch applied. The budget's deadline,
 // MaxDerivedTuples and MaxFixpointRounds apply (MaxResultRows does not).
 // Deleting absent tuples is a no-op; inserting into or deleting from a
 // view predicate is an error, as is calling this on an engine built
@@ -530,9 +532,9 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 		}
 	}
 	start := time.Now()
-	res, err := l.maint.ApplyUpdateCtx(ctx, inserts, deletes, b.limits())
+	res, err := l.commit(ctx, inserts, deletes, b.limits())
 	if err != nil {
-		// The maintainer rolled back; the serving sides were never touched.
+		// Side 0 rolled back; readers, on side 1, never saw it move.
 		return err
 	}
 	// Commit protocol with durability on: the batch is fsynced to the WAL
@@ -540,8 +542,8 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	// batch is never logged) and before it publishes (so recovery replays
 	// exactly the batches callers were acknowledged for). If the append
 	// fails, the batch is not published and the engine wedges mutations:
-	// the maintainer is one unacknowledged batch ahead of the sides, which
-	// is invisible to readers and absent after restart.
+	// side 0 is one unacknowledged batch ahead, but readers stay on side
+	// 1, which holds exactly the state a restart recovers.
 	if e.dur != nil {
 		if derr := e.dur.logBatch(res); derr != nil {
 			return derr
@@ -550,9 +552,9 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	// A batch that finishes propagation before the deadline publishes: the
 	// publish step replays already-computed removals and deltas and is not
 	// a cancellation point — aborting it would tear the left-right pair.
-	if err := e.publish(res); err != nil {
-		return err
-	}
+	// The batch is committed from here on, so it is counted even when the
+	// publish reports a healed replay failure.
+	err = e.publish(res)
 	if e.dur != nil {
 		e.dur.maybeCheckpoint(e)
 	}
@@ -572,100 +574,28 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	e.updDerived.Add(uint64(res.Stats.Derived))
 	e.updRetracted.Add(uint64(retracted))
 	e.maintainTime.Add(int64(time.Since(start)))
-	return nil
+	return err
 }
 
-// sideRemoval is one journaled serving-side retraction: the tuple applySide
-// removed from a side's database.
-type sideRemoval struct {
-	pred string
-	t    storage.Tuple
-}
-
-// sideUndo records both serving sides' pre-publish relation sizes plus the
-// active pointer, and accumulates the removals applySide performs, so a
-// failed or panicking publish can restore the pair: truncate each relation
-// past the appended deltas, then re-insert the journaled removals.
-type sideUndo struct {
-	active  int32
-	flat    [2]map[string]int
-	removed [2][]sideRemoval
-}
-
-// snapshotSides captures the publish undo log. Called under updateMu — the
-// sides are only mutated by the (single) writer, so lock-free length reads
-// are safe.
-func (l *liveState) snapshotSides() sideUndo {
-	u := sideUndo{active: l.active.Load()}
-	for i := 0; i < 2; i++ {
-		u.flat[i] = make(map[string]int)
-		db := l.sides[i]
-		for _, pred := range db.Predicates() {
-			u.flat[i][pred] = db.Relation(pred).Len()
-		}
-	}
-	return u
-}
-
-// restoreSides rolls both serving sides back to the undo log under their
-// write locks and restores the active pointer — the pair is mutually
-// consistent (both pre-batch) again even if publish failed halfway.
-// Removals replayed before the appends shrank each relation below its
-// snapshot length, so the truncation target is the snapshot minus the
-// journaled removal count; re-inserting the journaled tuples afterwards
-// restores the pre-batch tuple set exactly (intra-relation order may
-// permute — Remove backfills from the tail — which snapshots never
-// observe).
-func (l *liveState) restoreSides(u sideUndo) {
-	for i := 0; i < 2; i++ {
-		l.locks[i].Lock()
-		db := l.sides[i]
-		removed := make(map[string]int, len(u.removed[i]))
-		for _, r := range u.removed[i] {
-			removed[r.pred]++
-		}
-		for _, pred := range db.Predicates() {
-			n, ok := u.flat[i][pred]
-			if !ok {
-				db.Drop(pred)
-				continue
-			}
-			db.Relation(pred).TruncateTo(n - removed[pred])
-		}
-		for j := len(u.removed[i]) - 1; j >= 0; j-- {
-			r := u.removed[i][j]
-			db.Relation(r.pred).Insert(r.t)
-		}
-		l.locks[i].Unlock()
-	}
-	l.active.Store(u.active)
-}
-
-// publish replays a batch's removals and deltas onto both serving sides
-// with the usual left-right flip. On an error or panic partway through,
-// both sides are rolled back to their pre-batch state and the active
-// pointer restored, so the serving pair never stays torn; a panic is
-// re-raised to the entry point's recover guard after the rollback.
-func (e *Engine) publish(res *ivm.BatchResult) error {
+// publish makes a batch committed on side 0 visible and mirrors it onto
+// side 1: readers flip to side 0, the batch replays onto side 1 under its
+// write lock, and readers flip back. If the replay fails or panics, side 1
+// is rebuilt as a clone of side 0 before readers return to it, and the
+// error — a panic as an *InternalError — is returned with the batch
+// still committed.
+func (e *Engine) publish(res *ivm.BatchResult) (err error) {
 	l := e.live
-	undo := l.snapshotSides()
+	l.active.Store(0)
+	l.locks[1].Lock()
 	defer func() {
-		if r := recover(); r != nil {
-			l.restoreSides(undo)
-			panic(r)
+		if err != nil {
+			l.sides[1] = l.sides[0].Clone()
 		}
+		l.locks[1].Unlock()
+		l.active.Store(1)
 	}()
-	i := 1 - undo.active
-	if err := l.applySide(i, res, &undo); err != nil {
-		l.restoreSides(undo)
-		return err
-	}
-	l.active.Store(i)
-	if err := l.applySide(1-i, res, &undo); err != nil {
-		l.restoreSides(undo)
-		return err
-	}
-	return nil
+	defer e.recoverInternal(&err)
+	return l.replay(res)
 }
 
 // evalPlan evaluates a cached plan's compiled form under an argument

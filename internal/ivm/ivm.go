@@ -1,11 +1,12 @@
 // Package ivm incrementally maintains materialized view extents under
 // base-fact inserts, deletions, and mixed update batches. A Maintainer
-// owns a private database holding the base relations and every view
-// extent; each view definition is compiled once into per-EDB-occurrence
-// delta plans (datalog.CompileProgramIVM), and an update batch runs one
-// semi-naive propagation round per affected occurrence instead of
-// re-materializing any extent — work is proportional to the consequences
-// of the batch, not to the size of the database.
+// updates, in place, one database holding the base relations and every
+// view extent; each view definition is compiled once into
+// per-EDB-occurrence delta plans (datalog.CompileProgramIVM), and an
+// update batch runs one semi-naive propagation round per affected
+// occurrence instead of re-materializing any extent — work is
+// proportional to the consequences of the batch, not to the size of the
+// database.
 //
 // Inserts propagate monotonically. Deletions are non-monotone and take the
 // datalog counting/DRed machinery (CompiledProgram.Apply): view sets are
@@ -14,14 +15,17 @@
 // tuple exactly when its count reaches zero. Batches mixing deletions and
 // insertions apply deletions first and are atomic either way.
 //
-// The Maintainer is the engine's mutation path: Engine.ApplyUpdateBudget
-// applies a batch here, then forwards the returned base and extent deltas
-// to the serving snapshots. It is equally usable standalone for
-// applications that keep extents fresh without the serving layer.
+// The maintained database is not private: the live engine serves
+// queries from it directly, as one side of its left-right serving pair.
+// Engine.ApplyUpdateBudget applies a batch here under that side's write
+// lock, then replays the returned base and extent deltas onto the other
+// side. The Maintainer is equally usable standalone for applications that
+// keep extents fresh without the serving layer.
 //
 // A Maintainer is single-writer: calls to ApplyUpdateCtx must be
 // serialized by the caller (the engine holds an update mutex). Reads of the
-// maintained database may not overlap an ApplyUpdateCtx call.
+// maintained database — by the caller or by anyone it shares it with — may
+// not overlap an ApplyUpdateCtx call.
 package ivm
 
 import (
@@ -221,6 +225,13 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 		ExtentRetracted: ures.Retracted,
 		Stats:           ures.Stats,
 		Duration:        time.Since(start),
+	}
+	// A relation the batch created starts unfrozen; freeze it so the whole
+	// database stays indexed for readers that share it between batches.
+	for pred := range res.BaseInserted {
+		if rel := m.db.Relation(pred); !rel.Frozen() {
+			rel.BuildIndexes()
+		}
 	}
 	m.batches++
 	for _, tuples := range res.BaseInserted {

@@ -399,6 +399,12 @@ func (db *Database) Ensure(pred string, arity int) (*Relation, error) {
 	return r, nil
 }
 
+// Share adds rel to db by reference under its own name, replacing any
+// relation of that name: every later mutation of rel is visible through
+// both databases, so callers must serialize writers of either against
+// readers of both.
+func (db *Database) Share(rel *Relation) { db.rels[rel.name] = rel }
+
 // Drop removes the relation for pred, if present — the rollback companion
 // to TruncateTo for relations a failed batch created.
 func (db *Database) Drop(pred string) { delete(db.rels, pred) }
